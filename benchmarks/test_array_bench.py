@@ -29,6 +29,7 @@ TOTAL_BLOCKS = 4096
 SHARDS = 4
 PAGE_BLOCKS = 16
 GLOBAL_WRITES = 2_000_000
+RUNS = 3
 
 
 def _single_chip():
@@ -68,23 +69,32 @@ def engine_decoder(config):
 
 
 def test_array_matches_single_chip_throughput(benchmark, once, capsys):
-    # Interleave A/B/A so cache warm-up lands on neither side's tally.
-    single_writes, warm = _single_chip()
-    array_result, array_s = _shard_array()
-    single_writes2, single_s = once(benchmark, _single_chip)
-    report = array_result.report
+    # Warm up, then interleave the sides and keep each side's fastest of
+    # RUNS, so cache warm-up and host noise land on neither side's tally.
+    _single_chip()
+    array_runs, single_runs = [], []
+    for _ in range(RUNS - 1):
+        array_runs.append(_shard_array())
+        single_runs.append(_single_chip())
+    array_runs.append(_shard_array())
+    single_runs.append(once(benchmark, _single_chip))
+    single_s = min(seconds for _, seconds in single_runs)
+    array_s = min(seconds for _, seconds in array_runs)
     with capsys.disabled():
         print()
-        print(f"{GLOBAL_WRITES:,} writes: single chip {single_s:.2f}s "
-              f"(warm-up {warm:.2f}s), {SHARDS}-shard array {array_s:.2f}s "
-              f"({array_s / single_s:.2f}x)")
+        print(f"{GLOBAL_WRITES:,} writes: single chip {single_s:.3f}s, "
+              f"{SHARDS}-shard array {array_s:.3f}s "
+              f"({array_s / single_s:.2f}x; fastest of {RUNS} each)")
     # Both served the whole budget and stayed healthy.
-    assert single_writes == single_writes2 == GLOBAL_WRITES
-    assert report.stop is not None
-    assert report.stop.cause.value == "max-writes"
-    assert report.dead_shards == ()
-    assert report.total_writes == GLOBAL_WRITES
+    assert all(writes == GLOBAL_WRITES for writes, _ in single_runs)
+    for array_result, _ in array_runs:
+        report = array_result.report
+        assert report.stop is not None
+        assert report.stop.cause.value == "max-writes"
+        assert report.dead_shards == ()
+        assert report.total_writes == GLOBAL_WRITES
     # The array runs 4x as many quarter-size epochs plus the harness; a
-    # 3x wall-clock envelope is generous headroom for that fixed overhead
-    # while still catching any per-shard scaling pathology.
-    assert array_s <= single_s * 3.0 + 0.5, (array_s, single_s)
+    # 3x wall-clock envelope is headroom for that fixed overhead while
+    # still catching any per-shard scaling pathology.  The absolute slack
+    # only absorbs timer noise: it is well under either side's time.
+    assert array_s <= single_s * 3.0 + 0.05, (array_s, single_s)

@@ -28,6 +28,7 @@ SHARDS = 4
 PAGE_BLOCKS = 16
 GLOBAL_WRITES = 2_000_000
 LOOKUPS = 2_000_000
+RUNS = 3
 
 
 def _engine_run(balance):
@@ -56,10 +57,17 @@ def _bulk_decode(decoder, addresses):
 
 
 def test_balanced_decoder_overhead_is_bounded(benchmark, once, capsys):
-    # Interleave A/B/A so cache warm-up lands on neither side's tally.
-    _warm, warm_s = _engine_run(False)
-    balanced_result, balanced_s = _engine_run(True)
-    static_result, static_s = once(benchmark, _engine_run, False)
+    # Warm up, then interleave the sides and keep each side's fastest of
+    # RUNS, so cache warm-up and host noise land on neither side's tally.
+    _engine_run(False)
+    balanced_runs, static_runs = [], []
+    for _ in range(RUNS - 1):
+        balanced_runs.append(_engine_run(True))
+        static_runs.append(_engine_run(False))
+    balanced_runs.append(_engine_run(True))
+    static_runs.append(once(benchmark, _engine_run, False))
+    balanced_s = min(seconds for _, seconds in balanced_runs)
+    static_s = min(seconds for _, seconds in static_runs)
 
     base = InterleavedDecoder(SHARDS, TOTAL_BLOCKS // SHARDS,
                               page_blocks=PAGE_BLOCKS)
@@ -71,23 +79,23 @@ def test_balanced_decoder_overhead_is_bounded(benchmark, once, capsys):
 
     with capsys.disabled():
         print()
-        print(f"{GLOBAL_WRITES:,} writes: static {static_s:.2f}s "
-              f"(warm-up {warm_s:.2f}s), balanced {balanced_s:.2f}s "
-              f"({balanced_s / static_s:.2f}x); {LOOKUPS:,} decodes: "
+        print(f"{GLOBAL_WRITES:,} writes: static {static_s:.3f}s, "
+              f"balanced {balanced_s:.3f}s ({balanced_s / static_s:.2f}x; "
+              f"fastest of {RUNS} each); {LOOKUPS:,} decodes: "
               f"arithmetic {base_decode_s:.3f}s, "
               f"gather {wrapped_decode_s:.3f}s")
 
     # Both engines served the whole budget and stayed healthy.
-    assert static_result.report.total_writes == GLOBAL_WRITES
-    assert balanced_result.report.total_writes == GLOBAL_WRITES
-    assert static_result.report.dead_shards == ()
-    assert balanced_result.report.dead_shards == ()
+    for result, _ in static_runs + balanced_runs:
+        assert result.report.total_writes == GLOBAL_WRITES
+        assert result.report.dead_shards == ()
     # No swaps fired: the only difference is the remap indirection.
-    counters = balanced_result.snapshot["counters"]
-    assert counters.get("balance.remap-swaps", 0) == 0
+    for balanced_result, _ in balanced_runs:
+        counters = balanced_result.snapshot["counters"]
+        assert counters.get("balance.remap-swaps", 0) == 0
     # The pin: the remap layer costs at most 10% of the static engine's
-    # wall-clock (plus timer-noise slack on sub-second runs).
-    assert balanced_s <= static_s * 1.10 + 0.25, (balanced_s, static_s)
+    # wall-clock, plus a timer-noise slack well under either side's time.
+    assert balanced_s <= static_s * 1.10 + 0.05, (balanced_s, static_s)
     # The gathers must not be slower than the arithmetic they replace.
     assert wrapped_decode_s <= base_decode_s * 1.5 + 0.05, (
         wrapped_decode_s, base_decode_s)

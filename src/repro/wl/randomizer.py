@@ -10,6 +10,10 @@ Start-Gap").  This module provides the bijections:
   of two are handled with cycle-walking: apply the permutation of the next
   power of two repeatedly until the value lands inside the domain (a
   standard format-preserving-encryption construction; still a bijection).
+  The keys are fixed at construction, so the simulator evaluates the
+  network once over the whole domain and serves every lookup from that
+  table — exact memoization, the way a programmable address decoder
+  would hold the map.
 * :class:`PermutationRandomizer` — an explicit random permutation table;
   the gold standard the Feistel network approximates.
 * :class:`IdentityRandomizer` — no randomization (ablations; shows the
@@ -23,6 +27,8 @@ Start-Gap").  This module provides the bijections:
 from __future__ import annotations
 
 import abc
+import functools
+from typing import Callable
 
 import numpy as np
 
@@ -63,6 +69,16 @@ class AddressRandomizer(abc.ABC):
             raise AddressError(f"address {address} outside [0, {self.size})")
         return address
 
+    def _check_many(self, addresses: np.ndarray) -> np.ndarray:
+        """*addresses* as int64; :class:`AddressError` if any is out of range."""
+        addresses = np.asarray(addresses, dtype=np.int64)
+        if addresses.size and (addresses.min() < 0
+                               or addresses.max() >= self.size):
+            raise AddressError(
+                f"addresses span [{addresses.min()}, {addresses.max()}], "
+                f"outside [0, {self.size})")
+        return addresses
+
 
 class IdentityRandomizer(AddressRandomizer):
     """No randomization at all."""
@@ -74,21 +90,33 @@ class IdentityRandomizer(AddressRandomizer):
         return self._check(address)
 
     def forward_many(self, addresses: np.ndarray) -> np.ndarray:
-        return np.asarray(addresses, dtype=np.int64)
+        return self._check_many(addresses)
 
     def backward_many(self, addresses: np.ndarray) -> np.ndarray:
-        return np.asarray(addresses, dtype=np.int64)
+        return self._check_many(addresses)
 
 
-class PermutationRandomizer(AddressRandomizer):
-    """Explicit random permutation (table-based)."""
+class TableRandomizer(AddressRandomizer):
+    """A bijection served from its forward table and the scattered inverse.
 
-    def __init__(self, size: int, seed: SeedLike = None) -> None:
-        super().__init__(size)
-        rng = make_rng(seed)
-        self._table = rng.permutation(size).astype(np.int64)
-        self._inverse = np.empty(size, dtype=np.int64)
-        self._inverse[self._table] = np.arange(size, dtype=np.int64)
+    Subclasses say how to build the forward table (the image of
+    ``arange(size)``); both tables are built on first use, after which
+    every lookup, scalar or vectorized, is one index.
+    """
+
+    @abc.abstractmethod
+    def _build_table(self) -> np.ndarray:
+        """The int64 image of ``arange(size)``."""
+
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        return self._build_table()
+
+    @functools.cached_property
+    def _inverse(self) -> np.ndarray:
+        inverse = np.empty(self.size, dtype=np.int64)
+        inverse[self._table] = np.arange(self.size, dtype=np.int64)
+        return inverse
 
     def forward(self, address: int) -> int:
         return int(self._table[self._check(address)])
@@ -97,14 +125,33 @@ class PermutationRandomizer(AddressRandomizer):
         return int(self._inverse[self._check(address)])
 
     def forward_many(self, addresses: np.ndarray) -> np.ndarray:
-        return self._table[np.asarray(addresses, dtype=np.int64)]
+        return self._table[self._check_many(addresses)]
 
     def backward_many(self, addresses: np.ndarray) -> np.ndarray:
-        return self._inverse[np.asarray(addresses, dtype=np.int64)]
+        return self._inverse[self._check_many(addresses)]
 
 
-class FeistelRandomizer(AddressRandomizer):
-    """Keyed balanced Feistel network with cycle-walking."""
+class PermutationRandomizer(TableRandomizer):
+    """Explicit random permutation (table-based)."""
+
+    def __init__(self, size: int, seed: SeedLike = None) -> None:
+        super().__init__(size)
+        self._permutation = make_rng(seed).permutation(size).astype(np.int64)
+
+    def _build_table(self) -> np.ndarray:
+        return self._permutation
+
+
+class FeistelRandomizer(TableRandomizer):
+    """Keyed balanced Feistel network with cycle-walking.
+
+    The hardware evaluates the network per access (constant logic, no
+    table).  The keys never change, so the simulator memoizes the
+    permutation exactly: the forward table is the vectorized network
+    applied once to the whole domain, the backward table its inverse
+    scatter.  The network methods stay as the reference both are built
+    from and tested against.
+    """
 
     def __init__(self, size: int, seed: SeedLike = None, rounds: int = 4) -> None:
         super().__init__(size)
@@ -147,37 +194,17 @@ class FeistelRandomizer(AddressRandomizer):
             left, right = right ^ self._round_fn(left, key), left
         return (left << self._half) | right
 
-    # -------------------------------------------------------------- interface
+    def _build_table(self) -> np.ndarray:
+        return self._walk(np.arange(self.size, dtype=np.uint64),
+                          self._permute_pow2_vec)
 
-    def forward(self, address: int) -> int:
-        value = self._check(address)
-        while True:
-            value = self._permute_pow2(value)
-            if value < self.size:
-                return value
-
-    def backward(self, address: int) -> int:
-        value = self._check(address)
-        while True:
-            value = self._unpermute_pow2(value)
-            if value < self.size:
-                return value
-
-    def forward_many(self, addresses: np.ndarray) -> np.ndarray:
-        values = np.asarray(addresses, dtype=np.uint64)
-        out = self._permute_pow2_vec(values)
+    def _walk(self, values: np.ndarray,
+              step: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """Cycle-walk *values* through *step* until all land in the domain."""
+        out = step(values)
         walk = out >= self.size
         while walk.any():
-            out[walk] = self._permute_pow2_vec(out[walk])
-            walk = out >= self.size
-        return out.astype(np.int64)
-
-    def backward_many(self, addresses: np.ndarray) -> np.ndarray:
-        values = np.asarray(addresses, dtype=np.uint64)
-        out = self._unpermute_pow2_vec(values)
-        walk = out >= self.size
-        while walk.any():
-            out[walk] = self._unpermute_pow2_vec(out[walk])
+            out[walk] = step(out[walk])
             walk = out >= self.size
         return out.astype(np.int64)
 
@@ -207,11 +234,11 @@ class FeistelRandomizer(AddressRandomizer):
         return (left << np.uint64(self._half)) | right
 
 
-class RestrictedRandomizer(AddressRandomizer):
+class RestrictedRandomizer(TableRandomizer):
     """LLS's half-space-restricted randomization.
 
     Lower-half addresses randomize only into the upper half and vice versa;
-    for an odd *size* the middle element is fixed.  This is the adaptation
+    for an odd *size* the last element is fixed.  This is the adaptation
     the paper identifies as the reason LLS's leveling is weaker: a hot
     region confined to one half lands in a single target half instead of
     spreading over the whole space.
@@ -220,41 +247,15 @@ class RestrictedRandomizer(AddressRandomizer):
     def __init__(self, size: int, seed: SeedLike = None) -> None:
         super().__init__(size)
         rng = make_rng(seed)
-        self._half_size = size // 2
-        h = self._half_size
+        h = size // 2
         # lower[i] in upper half positions, upper[j] in lower half positions.
-        self._low_to_up = (rng.permutation(h) + h).astype(np.int64)
-        self._up_to_low = rng.permutation(h).astype(np.int64)
-        self._inv = np.empty(size, dtype=np.int64)
-        self._inv[self._low_to_up] = np.arange(h, dtype=np.int64)
-        self._inv[self._up_to_low] = np.arange(h, 2 * h, dtype=np.int64)
-        if size % 2:
-            self._inv[size - 1] = size - 1
+        low_to_up = rng.permutation(h) + h
+        up_to_low = rng.permutation(h)
+        self._image = np.concatenate(
+            [low_to_up, up_to_low, np.arange(2 * h, size)]).astype(np.int64)
 
-    def forward(self, address: int) -> int:
-        address = self._check(address)
-        h = self._half_size
-        if address < h:
-            return int(self._low_to_up[address])
-        if address < 2 * h:
-            return int(self._up_to_low[address - h])
-        return address  # odd-size fixed point
-
-    def backward(self, address: int) -> int:
-        return int(self._inv[self._check(address)])
-
-    def forward_many(self, addresses: np.ndarray) -> np.ndarray:
-        addresses = np.asarray(addresses, dtype=np.int64)
-        h = self._half_size
-        out = addresses.copy()
-        low = addresses < h
-        up = (addresses >= h) & (addresses < 2 * h)
-        out[low] = self._low_to_up[addresses[low]]
-        out[up] = self._up_to_low[addresses[up] - h]
-        return out
-
-    def backward_many(self, addresses: np.ndarray) -> np.ndarray:
-        return self._inv[np.asarray(addresses, dtype=np.int64)]
+    def _build_table(self) -> np.ndarray:
+        return self._image
 
 
 def make_randomizer(kind: str, size: int, seed: SeedLike = None,

@@ -10,7 +10,6 @@ deterministic telemetry snapshot.
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.config import StartGapConfig
@@ -18,8 +17,7 @@ from repro.ecc import ECP, PAYG, FreePRegion
 from repro.errors import ConfigurationError
 from repro.faultinject import FaultAction, FaultSchedule, ScheduleDriver
 from repro.pcm import AddressGeometry, EnduranceModel, PCMChip
-from repro.sim.batched import (BatchedEngine, is_batchable, run_cell_batch,
-                               startgap_bulk_rows)
+from repro.sim.batched import BatchedEngine, is_batchable, run_cell_batch
 from repro.sim.fast import FastConfig, FastEngine
 from repro.telemetry import TelemetrySession, attach_fast
 from repro.traces import hotspot_distribution
@@ -94,36 +92,6 @@ def assert_batched_matches(build, count=3):
     batched = [cell_state(engine, summary, session)
                for (engine, session), summary in zip(made, summaries)]
     assert solo == batched
-
-
-class TestStartGapBulkRows:
-    @pytest.mark.parametrize("psi", [1, 4, 16])
-    @pytest.mark.parametrize("moves", [1, 7, 64, 300])
-    def test_matches_bulk_migrations(self, psi, moves):
-        a = StartGap(96, config=StartGapConfig(psi=psi, seed=5))
-        b = StartGap(96, config=StartGapConfig(psi=psi, seed=5))
-        # Skew both registers off their initial state first.
-        a.bulk_migrations(13)
-        startgap_bulk_rows(b, 13)
-        rows_a = a.bulk_migrations(moves)
-        rows_b = startgap_bulk_rows(b, moves)
-        np.testing.assert_array_equal(rows_a, rows_b)
-        assert (a.gap, a.start, a.gap_moves) == (b.gap, b.start, b.gap_moves)
-
-    def test_mapping_agrees_after_many_wraps(self):
-        a = StartGap(17, config=StartGapConfig(psi=2, seed=9))
-        b = StartGap(17, config=StartGapConfig(psi=2, seed=9))
-        a.bulk_migrations(123)
-        startgap_bulk_rows(b, 123)
-        pas = np.arange(a.logical_blocks, dtype=np.int64)
-        np.testing.assert_array_equal(a.map_many(pas), b.map_many(pas))
-
-    def test_frozen_and_empty_batches(self):
-        wl = StartGap(32, config=StartGapConfig(psi=3, seed=1))
-        assert startgap_bulk_rows(wl, 0).shape == (0, 2)
-        wl.frozen = True
-        assert startgap_bulk_rows(wl, 10).shape == (0, 2)
-        assert wl.gap_moves == 0
 
 
 class TestBatchedEquivalence:

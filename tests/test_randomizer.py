@@ -21,16 +21,24 @@ def build(kind: str, size: int, seed: int = 3):
     return make_randomizer(kind, size, seed=seed)
 
 
+def cycle_walk(randomizer: FeistelRandomizer, value: int, step) -> int:
+    """Reference: apply the power-of-two network until inside the domain."""
+    while True:
+        value = step(value)
+        if value < randomizer.size:
+            return value
+
+
 class TestBijectivity:
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("size", [2, 7, 64, 255, 256, 1000])
+    @pytest.mark.parametrize("size", [1, 2, 7, 64, 255, 256, 1000])
     def test_forward_is_permutation(self, kind, size):
         randomizer = build(kind, size)
         image = {randomizer.forward(x) for x in range(size)}
         assert image == set(range(size))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("size", [2, 7, 64, 255, 1000])
+    @pytest.mark.parametrize("size", [1, 2, 7, 64, 255, 1000])
     def test_backward_inverts_forward(self, kind, size):
         randomizer = build(kind, size)
         for x in range(size):
@@ -62,6 +70,39 @@ class TestVectorization:
         vectorized = randomizer.backward_many(xs)
         scalar = [randomizer.backward(int(x)) for x in xs]
         assert vectorized.tolist() == scalar
+
+
+class TestFeistelTables:
+    @given(size=st.integers(min_value=2, max_value=600),
+           seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_tables_equal_the_network(self, size, seed):
+        """Property: both tables are the cycle-walked network, exactly."""
+        randomizer = FeistelRandomizer(size, seed=seed)
+        forward = [cycle_walk(randomizer, x, randomizer._permute_pow2)
+                   for x in range(size)]
+        backward = [cycle_walk(randomizer, x, randomizer._unpermute_pow2)
+                    for x in range(size)]
+        xs = np.arange(size, dtype=np.uint64)
+        assert randomizer._table.tolist() == forward
+        assert randomizer._inverse.tolist() == backward
+        assert randomizer._walk(
+            xs, randomizer._permute_pow2_vec).tolist() == forward
+        assert randomizer._walk(
+            xs, randomizer._unpermute_pow2_vec).tolist() == backward
+        assert randomizer.forward_many(xs).tolist() == forward
+        assert randomizer.backward_many(xs).tolist() == backward
+        assert [randomizer.forward(x) for x in range(size)] == forward
+        assert [randomizer.backward(x) for x in range(size)] == backward
+
+    def test_tables_are_built_lazily(self):
+        randomizer = FeistelRandomizer(300, seed=2)
+        assert "_table" not in vars(randomizer)
+        randomizer.forward(5)
+        assert "_table" in vars(randomizer)
+        assert "_inverse" not in vars(randomizer)
+        randomizer.backward_many(np.arange(4))
+        assert "_inverse" in vars(randomizer)
 
 
 class TestSeeding:
@@ -109,6 +150,22 @@ class TestMisc:
             randomizer.forward(10)
         with pytest.raises(AddressError):
             randomizer.backward(-1)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("bad", [[10], [-1], [3, 10**9], [0, -5, 9]])
+    def test_vectorized_out_of_range_rejected(self, kind, bad):
+        randomizer = build(kind, 10)
+        with pytest.raises(AddressError):
+            randomizer.forward_many(np.asarray(bad))
+        with pytest.raises(AddressError):
+            randomizer.backward_many(np.asarray(bad))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_vectorized_empty_input(self, kind):
+        randomizer = build(kind, 10)
+        empty = np.empty(0, dtype=np.int64)
+        assert randomizer.forward_many(empty).shape == (0,)
+        assert randomizer.backward_many(empty).shape == (0,)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import StartGapConfig
 from repro.errors import ConfigurationError
@@ -13,6 +15,25 @@ def make_sg(device: int = 65, psi: int = 10, identity: bool = False):
     randomizer = IdentityRandomizer(device - 1) if identity else None
     return StartGap(device, config=StartGapConfig(psi=psi),
                     randomizer=randomizer)
+
+
+def stepwise_rows(sg: StartGap, moves: int) -> np.ndarray:
+    """Reference for ``bulk_migrations``: the moves ``tick()`` would make.
+
+    One ``_move_endpoints()``/``_commit_move()`` step per move, exactly
+    the register walk the exact engine performs.
+    """
+    if sg.frozen:
+        return np.empty((0, 2), dtype=np.int64)
+    rows = []
+    for _ in range(moves):
+        rows.append(sg._move_endpoints())
+        sg._commit_move()
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def registers(sg: StartGap) -> tuple:
+    return sg.gap, sg.start, sg.gap_moves
 
 
 class TestMapping:
@@ -154,3 +175,71 @@ class TestLifecycle:
 
     def test_describe(self):
         assert "StartGap" in make_sg().describe()
+
+
+class TestStartGapBulkRows:
+    """The closed-form ``bulk_migrations`` vs the per-move register walk."""
+
+    @pytest.mark.parametrize("psi", [1, 4, 16])
+    @pytest.mark.parametrize("moves", [1, 7, 64, 300])
+    def test_matches_bulk_migrations(self, psi, moves):
+        a = StartGap(96, config=StartGapConfig(psi=psi, seed=5))
+        b = StartGap(96, config=StartGapConfig(psi=psi, seed=5))
+        # Skew both registers off their initial state first.
+        stepwise_rows(a, 13)
+        b.bulk_migrations(13)
+        rows_a = stepwise_rows(a, moves)
+        rows_b = b.bulk_migrations(moves)
+        np.testing.assert_array_equal(rows_a, rows_b)
+        assert registers(a) == registers(b)
+
+    def test_mapping_agrees_after_many_wraps(self):
+        a = StartGap(17, config=StartGapConfig(psi=2, seed=9))
+        b = StartGap(17, config=StartGapConfig(psi=2, seed=9))
+        stepwise_rows(a, 123)
+        b.bulk_migrations(123)
+        pas = np.arange(a.logical_blocks, dtype=np.int64)
+        np.testing.assert_array_equal(a.map_many(pas), b.map_many(pas))
+
+    def test_frozen_and_empty_batches(self):
+        wl = StartGap(32, config=StartGapConfig(psi=3, seed=1))
+        assert wl.bulk_migrations(0).shape == (0, 2)
+        wl.frozen = True
+        assert wl.bulk_migrations(10).shape == (0, 2)
+        assert wl.gap_moves == 0
+
+    def test_no_per_move_commit_or_inverse(self, monkeypatch):
+        sg = make_sg(psi=1)
+
+        def forbidden(*args):
+            raise AssertionError("bulk_migrations must not walk moves")
+
+        monkeypatch.setattr(sg, "_commit_move", forbidden)
+        monkeypatch.setattr(sg, "inverse", forbidden)
+        assert sg.bulk_migrations(500).shape == (500, 2)
+
+    @given(logical=st.integers(min_value=1, max_value=40),
+           psi=st.integers(min_value=1, max_value=16),
+           pre_moves=st.integers(min_value=0, max_value=150),
+           moves=st.integers(min_value=0, max_value=300),
+           frozen=st.booleans(),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=60, deadline=None)
+    @example(logical=5, psi=1, pre_moves=3, moves=0, frozen=False, seed=0)
+    @example(logical=5, psi=2, pre_moves=3, moves=40, frozen=True, seed=0)
+    @example(logical=7, psi=4, pre_moves=0, moves=5 * 8 + 3, frozen=False,
+             seed=1)
+    def test_closed_form_matches_stepwise(self, logical, psi, pre_moves,
+                                          moves, frozen, seed):
+        """Property: rows, registers and the whole PA map agree."""
+        config = StartGapConfig(psi=psi, seed=seed)
+        a = StartGap(logical + 1, config=config)
+        b = StartGap(logical + 1, config=config)
+        stepwise_rows(a, pre_moves)
+        b.bulk_migrations(pre_moves)
+        a.frozen = b.frozen = frozen
+        np.testing.assert_array_equal(stepwise_rows(a, moves),
+                                      b.bulk_migrations(moves))
+        assert registers(a) == registers(b)
+        pas = np.arange(logical, dtype=np.int64)
+        np.testing.assert_array_equal(a.map_many(pas), b.map_many(pas))
