@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike, make_rng
@@ -82,7 +82,7 @@ def sample_failure_times(num_blocks: int,
     # Guard against a pathological 1.0 from floating-point round-off.
     np.clip(uniforms, 1e-15, 1.0 - 1e-15, out=uniforms)
     sd = mean * cov
-    lifetimes = mean + sd * stats.norm.ppf(uniforms)
+    lifetimes = mean + sd * ndtri(uniforms)
     lifetimes = np.maximum(np.rint(lifetimes), 1.0)
     return lifetimes.astype(np.int64)
 

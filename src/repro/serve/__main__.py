@@ -136,10 +136,11 @@ def schedule_of(args: argparse.Namespace) -> Optional[FaultSchedule]:
 def render(result: ServiceResult) -> str:
     """Human-readable SLO summary."""
     report = result.report
+    counts = report["counts"]
     lines = [
-        f"served {report['counts']['issued']} requests over "
-        f"{result.duration} virtual ticks "
-        f"({report['throughput']:.4f} req/tick)",
+        f"issued {counts['issued']} requests, {counts['ok']} served ok, "
+        f"over {result.duration} virtual ticks "
+        f"({report['throughput']:.4f} ok/tick)",
         f"shards: {report['shards']['live']}/{report['shards']['total']} "
         f"live",
     ]
@@ -149,7 +150,6 @@ def render(result: ServiceResult) -> str:
             quantiles = "  ".join(f"{label}={value:.1f}"
                                   for label, value in table.items())
             lines.append(f"latency[{kind}] ticks: {quantiles}")
-    counts = report["counts"]
     lines.append("outcomes: " + "  ".join(
         f"{name}={counts[name]}"
         for name in ("ok", "shed", "deadline", "error", "failed")))

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence
 
+import numpy as np
+
 from ..array.shard import deterministic_snapshot
 from ..experiments.parallel import Cell, GridRunner
 from ..telemetry import TelemetrySession, merge_snapshots
@@ -28,8 +30,31 @@ from .station import ShardStation
 SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
+def _fold(session: TelemetrySession, name: str, values: Sequence[int],
+          bounds: Sequence[float]) -> None:
+    """``session.observe(name, v, bounds)`` for every sample *v*, at once.
+
+    ``searchsorted(side="left")`` picks the bucket ``bisect_left`` would,
+    and the samples are integers, so their sum does not depend on the
+    order of addition: the histogram ends up exactly as per-value
+    observes leave it.  An empty list creates no histogram, as none of
+    those observes would have.
+    """
+    if not values:
+        return
+    histogram = session.registry.histogram(name, bounds)
+    buckets = np.bincount(
+        np.searchsorted(histogram.bounds, values, side="left"),
+        minlength=len(histogram.counts))
+    for bucket, count in enumerate(buckets.tolist()):
+        histogram.counts[bucket] += count
+    histogram.total += len(values)
+    histogram.sum += sum(values)
+
+
 def account_shard_cell(sid: int,
-                       ok_latencies: Sequence[Sequence[int]],
+                       read_latencies: Sequence[int],
+                       write_latencies: Sequence[int],
                        batch_sizes: Sequence[int],
                        depth_samples: Sequence[int],
                        served: int, stalls: int, peak_depth: int,
@@ -46,14 +71,11 @@ def account_shard_cell(sid: int,
     byte-stable across job counts.
     """
     session = TelemetrySession()
-    for latency, is_write in ok_latencies:
-        kind = "write" if is_write else "read"
-        session.observe(f"serve.latency.{kind}", latency,
-                        bounds=tuple(latency_bounds))
-    for size in batch_sizes:
-        session.observe(f"serve.s{sid}.batch", size, bounds=SIZE_BOUNDS)
-    for depth in depth_samples:
-        session.observe(f"serve.s{sid}.depth", depth, bounds=SIZE_BOUNDS)
+    bounds = tuple(latency_bounds)
+    _fold(session, "serve.latency.read", read_latencies, bounds)
+    _fold(session, "serve.latency.write", write_latencies, bounds)
+    _fold(session, f"serve.s{sid}.batch", batch_sizes, SIZE_BOUNDS)
+    _fold(session, f"serve.s{sid}.depth", depth_samples, SIZE_BOUNDS)
     session.count("serve.served", served)
     session.count(f"serve.s{sid}.served", served)
     session.count(f"serve.s{sid}.stalls", stalls)
@@ -73,7 +95,8 @@ def shard_cell(station: ShardStation, config: ServeConfig) -> Cell:
         fn="repro.serve.account:account_shard_cell",
         kwargs={
             "sid": station.sid,
-            "ok_latencies": [list(pair) for pair in station.ok_latencies],
+            "read_latencies": list(station.read_latencies),
+            "write_latencies": list(station.write_latencies),
             "batch_sizes": list(station.batch_sizes),
             "depth_samples": list(station.depth_samples),
             "served": station.served,

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, DefaultDict, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +54,12 @@ _ISSUE = 0      # payload: client id
 _ADMIT = 1      # payload: Request (fresh routing at fire time)
 _DISPATCH = 2   # payload: (sid, generation) — batch window closed
 _COMPLETE = 3   # payload: (sid, generation) — batch finished service
+
+#: Counter name of each terminal outcome.
+_OUTCOME_COUNTERS = {outcome: f"serve.{outcome}" for outcome in OUTCOMES}
+
+#: Exponential think times drawn per refill of a client's buffer.
+_THINK_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -109,6 +116,11 @@ class ServiceEngine:
                          for sid in range(config.num_shards)]
         self.faults = ServeFaultDriver(schedule, config)
         self.session = TelemetrySession()
+        #: Hot-path counters, tallied here and flushed into the session
+        #: once the loop ends; a counter never bumped is never created.
+        self._counts: DefaultDict[str, int] = defaultdict(int)
+        #: Live shard ids, rebuilt only when a shard dies or joins.
+        self._live_sids = list(range(config.num_shards))
         self.now = 0
         self.issued = 0
         self.finished = 0
@@ -123,10 +135,15 @@ class ServiceEngine:
             replay = self._trace_replay()
             self._streams: List[Any] = [replay] * config.clients
         else:
-            self._streams = [self._client_stream(c)
-                             for c in range(config.clients)]
+            first = self._client_stream(0)
+            self._streams = [first] + [
+                first.sibling(f"serve-client-{c}")
+                for c in range(1, config.clients)]
         self._think_rngs = [derive_rng(config.seed, f"serve-think-{c}")
                             for c in range(config.clients)]
+        #: Each client's pending think times, next draw last.
+        self._think_buffers: List[List[float]] = [
+            [] for _ in range(config.clients)]
 
     # --------------------------------------------------------------- set-up
 
@@ -135,7 +152,9 @@ class ServiceEngine:
 
         Both builders live in :mod:`repro.workloads`; the distribution
         identity is ``("serve", config.seed)`` and each client draws its
-        own ``serve-client-<c>`` stream from it.
+        own ``serve-client-<c>`` stream from it.  The engine builds the
+        law once, for client 0, and gives every other client a
+        :meth:`~repro.traces.RequestStream.sibling` over it.
         """
         config = self.config
         if config.workload == "zipf":
@@ -167,8 +186,14 @@ class ServiceEngine:
     def _think(self, client: int) -> int:
         if self.config.arrival == "uniform":
             return self.config.think_ticks
-        return int(self._think_rngs[client].exponential(
-            self.config.think_ticks))
+        buffer = self._think_buffers[client]
+        if not buffer:
+            # exponential(scale, size=k) draws the same values as k
+            # scalar calls, so buffering changes no think time.
+            draws = self._think_rngs[client].exponential(
+                self.config.think_ticks, size=_THINK_CHUNK)
+            buffer.extend(draws[::-1].tolist())
+        return int(buffer.pop())
 
     # ------------------------------------------------------------------ run
 
@@ -188,6 +213,8 @@ class ServiceEngine:
             else:
                 self._complete(*payload)
         self._check_identity()
+        for name, amount in self._counts.items():
+            self.session.count(name, amount)
         self._final_gauges()
         merged = assemble_snapshots(self.stations, self.session,
                                     self.config, jobs=jobs)
@@ -210,7 +237,7 @@ class ServiceEngine:
         session.set_gauge("serve.duration", self.now)
         session.set_gauge("serve.clients", self.config.clients)
         session.set_gauge("serve.shards", len(self.stations))
-        session.set_gauge("serve.live_shards", len(self._live()))
+        session.set_gauge("serve.live_shards", len(self._live_sids))
         if self.health is not None:
             self.health.publish(session)
         session.count("serve.deaths",
@@ -237,29 +264,31 @@ class ServiceEngine:
                           is_write=is_write, issued_at=self.now,
                           deadline=self.now + self.config.deadline_ticks)
         self.issued += 1
-        self.session.count("serve.issued")
-        self.session.count(f"serve.issued_{request.kind()}")
+        self._counts["serve.issued"] += 1
+        self._counts["serve.issued_write" if is_write
+                     else "serve.issued_read"] += 1
         self._route(request)
 
     def _finish(self, request: Request, outcome: str) -> None:
         self.outcomes[outcome] += 1
         self.finished += 1
-        self.session.count(f"serve.{outcome}")
+        self._counts[_OUTCOME_COUNTERS[outcome]] += 1
         if self.issued < self.config.total_requests:
             self._push(self.now + self._think(request.client), _ISSUE,
                        request.client)
 
     # ------------------------------------------------------------- routing
 
-    def _live(self) -> List[int]:
-        return [s.sid for s in self.stations if s.alive]
+    def _refresh_live(self) -> None:
+        self._live_sids = [s.sid for s in self.stations if s.alive]
 
     def _route(self, request: Request) -> None:
-        live = self._live()
+        live = self._live_sids
         if not live:
             self._finish(request, "failed")
             return
-        sid, local = (int(v) for v in self.decoder.decode(request.address))
+        shard, slot = self.decoder.decode(request.address)
+        sid, local = int(shard), int(slot)
         if not self.stations[sid].alive:
             if self.config.policy == "fail-stop":
                 self._finish(request, "failed")
@@ -283,7 +312,7 @@ class ServiceEngine:
         target = min(fresh,
                      key=lambda s: (self.stations[s].writes_served, s))
         if target != sid:
-            self.session.count("serve.steered")
+            self._counts["serve.steered"] += 1
         return target
 
     # ----------------------------------------------------------- admission
@@ -294,11 +323,11 @@ class ServiceEngine:
             return
         if len(station.queue) >= self.config.queue_depth:
             if self.config.admission == "shed":
-                self.session.count("serve.shed_full_queue")
+                self._counts["serve.shed_full_queue"] += 1
                 self._finish(request, "shed")
             else:
                 station.waiting.append(request)
-                self.session.count("serve.blocked")
+                self._counts["serve.blocked"] += 1
                 station.note_depth()
             return
         self._enqueue(station, request)
@@ -307,12 +336,12 @@ class ServiceEngine:
         """Place a request into a queue slot (capacity already checked)."""
         decision = station.breaker.admit(self.now)
         if decision == "fast-fail":
-            self.session.count("serve.breaker_fast_fail")
+            self._counts["serve.breaker_fast_fail"] += 1
             self._retry(station, request, shard_failure=False)
             return
         if decision == "probe":
             request.probe = True
-            self.session.count("serve.breaker_probes")
+            self._counts["serve.breaker_probes"] += 1
         station.queue.append(request)
         station.note_depth()
         self._maybe_dispatch(station)
@@ -388,18 +417,20 @@ class ServiceEngine:
         if station.stall_remaining > 0:
             station.stall_remaining -= 1
             station.stalls += 1
-            self.session.count("serve.stalled")
+            self._counts["serve.stalled"] += 1
             self._retry(station, request, shard_failure=True)
             return
+        latency = self.now - request.issued_at
         if request.is_write:
             station.writes_served += 1
+            station.write_latencies.append(latency)
+        else:
+            station.read_latencies.append(latency)
         station.served += 1
         station.breaker.record_success(request.probe)
         request.probe = False
-        latency = self.now - request.issued_at
-        station.ok_latencies.append((latency, int(request.is_write)))
         if self.now > request.deadline:
-            self.session.count("serve.deadline_miss")
+            self._counts["serve.deadline_miss"] += 1
         self._finish(request, "ok")
         if request.is_write and self.faults.poll(station):
             self._kill(station)
@@ -420,7 +451,7 @@ class ServiceEngine:
         request.probe = False
         request.attempts += 1
         if request.attempts >= self.config.retry_limit:
-            self.session.count("serve.retries_exhausted")
+            self._counts["serve.retries_exhausted"] += 1
             self._finish(request, "error")
             return
         backoff = self.config.backoff_base * 2 ** (request.attempts - 1)
@@ -428,7 +459,7 @@ class ServiceEngine:
         if retry_at >= request.deadline:
             self._finish(request, "deadline")
             return
-        self.session.count("serve.retries")
+        self._counts["serve.retries"] += 1
         self._push(retry_at, _ADMIT, request)
 
     # ------------------------------------------------------------ failover
@@ -436,10 +467,11 @@ class ServiceEngine:
     def _kill(self, station: ShardStation) -> None:
         station.alive = False
         station.died_at = self.now
+        self._refresh_live()
         if self.health is not None:
             self.health.observe(station.sid, station.writes_served, 0.0,
                                 dead=True)
-        live = self._live()
+        live = self._live_sids
         if (self.balanced and self.config.policy == "degraded" and live):
             # Fold the degraded re-home rule into the balanced map, so
             # later steering rounds see the survivors' true ownership.
@@ -450,7 +482,7 @@ class ServiceEngine:
         """Re-home (degraded) or fail (fail-stop) displaced requests."""
         for request in requests:
             request.probe = False
-            self.session.count("serve.failover")
+            self._counts["serve.failover"] += 1
             if self.config.policy == "fail-stop":
                 self._finish(request, "failed")
             else:
@@ -470,11 +502,12 @@ class ServiceEngine:
         movers, _donors = self.decoder.add_shard()
         sid = len(self.stations)
         self.stations.append(ShardStation(sid, self.config))
+        self._refresh_live()
         self.faults.grow()
         assert self.health is not None  # balanced whenever add_shard_at set
         self.health.add_shard()
-        self.session.count("serve.migrated", int(movers.size))
-        self.session.count("serve.shards_added")
+        self._counts["serve.migrated"] += int(movers.size)
+        self._counts["serve.shards_added"] += 1
 
     def _rebalance(self) -> None:
         """One steering checkpoint: wear telemetry -> bounded swaps."""
@@ -482,13 +515,13 @@ class ServiceEngine:
         for station in self.stations:
             if station.alive:
                 self.health.observe(station.sid, station.writes_served, 0.0)
-        live = self._live()
+        live = self._live_sids
         if len(live) < 2:
             return
         swaps = plan_swaps(self.decoder, self._demand,
                            self.health.risks(), live, self._policy)
         if swaps:
-            self.session.count("serve.remap_swaps", len(swaps))
+            self._counts["serve.remap_swaps"] += len(swaps)
 
 
 __all__ = ["ServiceEngine", "ServiceResult"]

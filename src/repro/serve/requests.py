@@ -52,9 +52,5 @@ class Request:
     #: True while this request is the breaker's half-open probe.
     probe: bool = False
 
-    def kind(self) -> str:
-        """``"write"`` or ``"read"`` — the latency histogram key."""
-        return "write" if self.is_write else "read"
-
 
 __all__ = ["Request", "OUTCOMES"]

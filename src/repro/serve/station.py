@@ -60,7 +60,8 @@ class ShardStation:
 
         # Raw deterministic samples, folded into telemetry by the
         # accounting cells (repro.serve.account).
-        self.ok_latencies: List[Tuple[int, int]] = []  # (latency, is_write)
+        self.read_latencies: List[int] = []   # successful reads
+        self.write_latencies: List[int] = []  # successful writes
         self.batch_sizes: List[int] = []
         self.depth_samples: List[int] = []
         self.served = 0

@@ -16,12 +16,17 @@ themselves are history-less).
 from __future__ import annotations
 
 import abc
-from typing import Optional, Tuple
+import copy
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike, derive_rng
+
+#: Seeds a bit generator whose state is overwritten at once; cheaper
+#: than seeding it from OS entropy.
+_PLACEHOLDER_SEED = np.random.SeedSequence(0)
 
 
 class WriteTrace(abc.ABC):
@@ -110,13 +115,35 @@ class RequestStream:
     Write traces model the address stream a wear-leveler sees; the online
     serving layer additionally needs the read/write *mix*, because only
     writes wear the device while both kinds occupy queue slots and service
-    time.  A :class:`RequestStream` draws both from one generator derived
-    from ``(seed, name)``, so two streams built with the same pair replay
-    the exact same requests — the property the serving layer's per-client
-    load generators lean on for byte-identical runs at any worker count.
+    time.  A :class:`RequestStream` draws both from one PCG64 stream
+    derived from ``(seed, name)``, so two streams built with the same pair
+    replay the exact same requests — the property the serving layer's
+    per-client load generators lean on for byte-identical runs at any
+    worker count.
+
+    **Draw layout.**  The stream consumes its generator in fixed blocks
+    of :attr:`BLOCK` requests: :attr:`BLOCK` uniforms for the addresses,
+    then :attr:`BLOCK` for the read/write flags.  That is exactly what
+    ``rng.choice(n, BLOCK, p=p)`` followed by ``rng.random(BLOCK)``
+    consumes (``choice`` is ``cdf.searchsorted(uniforms, side="right")``
+    over ``cdf = cumsum(p) / cumsum(p)[-1]``, one uniform per address),
+    so request *k* is a fixed function of ``(seed, name, k)``.  The
+    stream draws lazily, in chunks, through two generators on that one
+    stream: one reads a block's address half, the other, advanced
+    :attr:`BLOCK` draws ahead, its write half, and at each block
+    boundary both jump over the other's half.  Chunks start at
+    :attr:`FIRST_CHUNK` requests and double up to :attr:`MAX_CHUNK`,
+    so a consumer that issues five requests draws eight, and a long
+    stream pays the per-call cost rarely.  The chunk sizes never change
+    a value, only how far the stream draws ahead.
     """
 
-    _BUFFER = 4096
+    #: Requests per generator block (the fixed draw layout above).
+    BLOCK = 4096
+    #: Requests drawn by the first refill; each refill doubles it.
+    FIRST_CHUNK = 8
+    #: Largest refill.
+    MAX_CHUNK = 1024
 
     def __init__(self, probabilities: np.ndarray, write_ratio: float = 0.5,
                  name: str = "requests", seed: SeedLike = None) -> None:
@@ -134,27 +161,56 @@ class RequestStream:
         self.write_ratio = write_ratio
         self.name = name
         self._seed = seed
-        self._rng = derive_rng(seed, f"requests-{name}")
-        self._addresses: Optional[np.ndarray] = None
-        self._writes: Optional[np.ndarray] = None
-        self._pos = 0
+        # Generator.choice's inverse CDF, built once per address law.
+        self._cdf = self.probabilities.cumsum()
+        self._cdf /= self._cdf[-1]
+        self.reset()
+
+    def sibling(self, name: str) -> "RequestStream":
+        """The ``(seed, name)`` stream over this stream's address law.
+
+        Shares the probabilities and CDF, so N per-consumer streams cost
+        N generators rather than N address laws.
+        """
+        twin = copy.copy(self)
+        twin.name = name
+        twin.reset()
+        return twin
 
     def next_request(self) -> Tuple[int, bool]:
         """Next request as ``(virtual address, is_write)``."""
-        if self._addresses is None or self._writes is None \
-                or self._pos >= len(self._addresses):
-            self._addresses = self._rng.choice(
-                self.virtual_blocks, size=self._BUFFER, p=self.probabilities)
-            self._writes = self._rng.random(self._BUFFER) < self.write_ratio
-            self._pos = 0
-        address = int(self._addresses[self._pos])
-        is_write = bool(self._writes[self._pos])
-        self._pos += 1
-        return address, is_write
+        pos = self._pos
+        if pos == len(self._addresses):
+            self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return self._addresses[pos], self._writes[pos]
 
     def reset(self) -> None:
         """Restart the stream from its first request."""
-        self._rng = derive_rng(self._seed, f"requests-{self.name}")
-        self._addresses = None
-        self._writes = None
+        self._address_rng = derive_rng(self._seed, f"requests-{self.name}")
+        bits = self._address_rng.bit_generator
+        # A clone of the same stream, not a second derivation: deriving
+        # again is slower and, for a Generator seed, draws from the parent.
+        write_bits = type(bits)(_PLACEHOLDER_SEED)
+        write_bits.state = bits.state
+        write_bits.advance(self.BLOCK)
+        self._write_rng = np.random.Generator(write_bits)
+        self._drawn = 0
+        self._chunk = self.FIRST_CHUNK
+        self._addresses: List[int] = []
+        self._writes: List[bool] = []
         self._pos = 0
+
+    def _refill(self) -> None:
+        if self._drawn == self.BLOCK:
+            self._address_rng.bit_generator.advance(self.BLOCK)
+            self._write_rng.bit_generator.advance(self.BLOCK)
+            self._drawn = 0
+        size = min(self._chunk, self.BLOCK - self._drawn)
+        self._chunk = min(2 * self._chunk, self.MAX_CHUNK)
+        self._drawn += size
+        self._addresses = self._cdf.searchsorted(
+            self._address_rng.random(size), side="right").tolist()
+        self._writes = (self._write_rng.random(size)
+                        < self.write_ratio).tolist()

@@ -56,6 +56,28 @@ class TestSampleFailureTimes:
         means = times.mean(axis=0)
         assert (np.diff(means) > 0).all()
 
+    def test_quantile_map_matches_scipy_stats_reference(self):
+        """``ndtri`` replaced ``stats.norm.ppf``; the samples are unchanged.
+
+        The reference rebuilds the same uniforms and maps them through
+        ``scipy.stats``; the samples must match bit for bit, on the
+        model's default parameters and on a high-variance one.
+        """
+        for blocks, n, mean, cov, k, seed in [(300, 512, 4e3, 0.2, 24, 1),
+                                              (2000, 64, 1e8, 0.6, 9, 42)]:
+            generator = np.random.default_rng(seed)
+            uniforms = np.empty((blocks, k))
+            previous = np.zeros(blocks)
+            for i in range(k):
+                v = generator.random(blocks)
+                previous = 1.0 - (1.0 - previous) * v ** (1.0 / (n - i))
+                uniforms[:, i] = previous
+            np.clip(uniforms, 1e-15, 1.0 - 1e-15, out=uniforms)
+            lifetimes = mean + mean * cov * stats.norm.ppf(uniforms)
+            expected = np.maximum(np.rint(lifetimes), 1.0).astype(np.int64)
+            got = sample_failure_times(blocks, n, mean, cov, k, rng=seed)
+            assert np.array_equal(got, expected)
+
     @pytest.mark.parametrize("k", [0, -1, 600])
     def test_rejects_bad_k(self, k):
         with pytest.raises(ConfigurationError):

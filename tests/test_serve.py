@@ -300,6 +300,19 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out == ""
 
+    def test_cli_headline_separates_issued_from_ok(self, capsys):
+        from repro.serve.__main__ import main
+
+        rc = main(["--shards", "2", "--shard-blocks", "64", "--clients",
+                   "16", "--requests", "400", "--queue-depth", "1",
+                   "--batch-max", "1", "--think", "0"])
+        assert rc == 0
+        headline = capsys.readouterr().out.splitlines()[0]
+        ok = int(headline.split(", ")[1].split()[0])
+        assert headline.startswith("issued 400 requests, ")
+        assert 0 < ok < 400  # most of the burst is shed, not served
+        assert "served 400" not in headline
+
     def test_cli_rejects_bad_config(self, capsys):
         from repro.serve.__main__ import main
 
@@ -374,3 +387,96 @@ class TestWorkloadPackageDedupe:
         from repro.serve import engine as serve_engine
         assert serve_engine.zipf_request_stream is zipf_request_stream
         assert serve_engine.uniform_request_stream is uniform_request_stream
+
+
+# ------------------------------------------------------ hot-path rewrites
+
+
+class TestHotPathEquivalence:
+    """The request path's fast forms equal the per-value forms they
+    replaced: accounting folds, think-time draws, shared client laws."""
+
+    @staticmethod
+    def per_value_cell(sid, read_latencies, write_latencies, batch_sizes,
+                       depth_samples, latency_bounds):
+        from repro.array.shard import deterministic_snapshot
+        from repro.serve.account import SIZE_BOUNDS
+        from repro.telemetry import TelemetrySession
+
+        session = TelemetrySession()
+        bounds = tuple(latency_bounds)
+        for latency in read_latencies:
+            session.observe("serve.latency.read", latency, bounds=bounds)
+        for latency in write_latencies:
+            session.observe("serve.latency.write", latency, bounds=bounds)
+        for size in batch_sizes:
+            session.observe(f"serve.s{sid}.batch", size, bounds=SIZE_BOUNDS)
+        for depth in depth_samples:
+            session.observe(f"serve.s{sid}.depth", depth, bounds=SIZE_BOUNDS)
+        return deterministic_snapshot(session.registry.snapshot())
+
+    @pytest.mark.parametrize("reads,writes,sizes,depths", [
+        ([], [], [], []),
+        ([], [5, 10, 10, 11, 0], [1, 8, 128, 129], []),
+        ([10, 20, 50, 100, 1000, 5000, 3], [], [], [0, 1, 2, 4, 64]),
+        ([7] * 50 + [500, 501], [1, 2, 3], [2, 2, 16], [3, 300]),
+    ])
+    def test_vectorized_fold_equals_per_value_observes(
+            self, reads, writes, sizes, depths):
+        from repro.serve.account import account_shard_cell
+
+        bounds = [10.0, 20.0, 50.0, 100.0, 500.0]
+        folded = account_shard_cell(
+            sid=3, read_latencies=reads, write_latencies=writes,
+            batch_sizes=sizes, depth_samples=depths, served=0, stalls=0,
+            peak_depth=0, writes_served=0, endurance_budget=1.0,
+            alive=True, died_at=-1, latency_bounds=bounds)
+        expected = self.per_value_cell(3, reads, writes, sizes, depths,
+                                       bounds)
+        assert folded["histograms"] == expected["histograms"]
+        assert json.dumps(folded["histograms"], sort_keys=True) \
+            == json.dumps(expected["histograms"], sort_keys=True)
+
+    def test_buffered_think_times_equal_scalar_draws(self):
+        from repro.rng import derive_rng
+        from repro.serve.engine import _THINK_CHUNK
+
+        config = small_config(clients=3, think_ticks=9, arrival="poisson")
+        engine = ServiceEngine(config)
+        draws = 3 * _THINK_CHUNK + 5
+        for client in range(config.clients):
+            rng = derive_rng(config.seed, f"serve-think-{client}")
+            scalar = [int(rng.exponential(config.think_ticks))
+                      for _ in range(draws)]
+            assert [engine._think(client) for _ in range(draws)] == scalar
+
+    def test_clients_share_one_address_law(self):
+        from repro.workloads import zipf_request_stream
+
+        config = small_config(clients=5)
+        engine = ServiceEngine(config)
+        law = engine._streams[0].probabilities
+        assert all(s.probabilities is law for s in engine._streams)
+        for client in (0, 4):
+            fresh = zipf_request_stream(
+                config.global_blocks, exponent=config.zipf_exponent,
+                write_ratio=config.write_ratio, name="serve",
+                seed=config.seed, stream_name=f"serve-client-{client}")
+            stream = engine._streams[client]
+            assert ([stream.next_request() for _ in range(100)]
+                    == [fresh.next_request() for _ in range(100)])
+
+    def test_hot_counters_reach_the_snapshot_once_flushed(self):
+        config = small_config(total_requests=400, clients=16,
+                              queue_depth=1, batch_max=1, think_ticks=0,
+                              admission="shed")
+        engine = ServiceEngine(config)
+        result = engine.run()
+        counters = result.snapshot["counters"]
+        assert counters["serve.issued"] == 400
+        assert counters["serve.shed"] == result.outcomes["shed"]
+        assert (counters["serve.issued_read"]
+                + counters["serve.issued_write"]) == 400
+        # Never-bumped counters are never created.
+        assert "serve.failover" not in counters
+        assert "serve.failed" not in counters

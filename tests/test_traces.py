@@ -175,6 +175,65 @@ class TestRequestStream:
         assert top > (2000 / 1024) * 10  # far above the uniform share
 
 
+def reference_requests(probabilities, write_ratio, seed, name, count):
+    """The stream's defining draw loop: whole 4096-request blocks of
+    ``choice(p=...)`` addresses followed by ``random`` write flags."""
+    from repro.rng import derive_rng
+    rng = derive_rng(seed, f"requests-{name}")
+    requests = []
+    while len(requests) < count:
+        addresses = rng.choice(len(probabilities), size=RequestStream.BLOCK,
+                               p=probabilities)
+        writes = rng.random(RequestStream.BLOCK) < write_ratio
+        requests.extend(zip(addresses.tolist(), writes.tolist()))
+    return requests[:count]
+
+
+class TestLazyRequestStream:
+    """Chunked lazy draws reproduce the block-buffered stream exactly."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(count=st.integers(1, 3 * RequestStream.BLOCK + 200),
+           write_ratio=st.sampled_from([0.0, 0.5, 1.0]),
+           first=st.sampled_from([1, 3, 8, 64]),
+           largest=st.sampled_from([7, 64, 1000, RequestStream.BLOCK]),
+           blocks=st.integers(2, 300), seed=st.integers(0, 2**31))
+    def test_chunked_stream_equals_reference_loop(self, count, write_ratio,
+                                                  first, largest, blocks,
+                                                  seed):
+        weights = np.random.default_rng(seed).random(blocks)
+        weights[::5] = 0.0  # zero-mass addresses are never drawn
+        weights[1] = 1.0
+        stream = RequestStream(weights, write_ratio=write_ratio,
+                               name="lazy", seed=seed)
+        stream.FIRST_CHUNK, stream.MAX_CHUNK = first, max(first, largest)
+        stream.reset()
+        expected = reference_requests(stream.probabilities, write_ratio,
+                                      seed, "lazy", count)
+        assert [stream.next_request() for _ in range(count)] == expected
+        stream.reset()
+        assert [stream.next_request() for _ in range(count)] == expected
+
+    def test_crosses_two_block_boundaries(self):
+        count = 2 * RequestStream.BLOCK + 37
+        stream = zipf_request_stream(512, write_ratio=0.5, seed=3,
+                                     stream_name="boundary")
+        expected = reference_requests(stream.probabilities, 0.5, 3,
+                                      "boundary", count)
+        assert [stream.next_request() for _ in range(count)] == expected
+
+    def test_sibling_is_the_named_stream_over_the_same_law(self):
+        first = zipf_request_stream(256, write_ratio=0.3, seed=5,
+                                    stream_name="client-0")
+        sibling = first.sibling("client-1")
+        fresh = zipf_request_stream(256, write_ratio=0.3, seed=5,
+                                    stream_name="client-1")
+        assert sibling.probabilities is first.probabilities
+        assert ([sibling.next_request() for _ in range(300)]
+                == [fresh.next_request() for _ in range(300)])
+        assert first.name == "client-0"
+
+
 class TestBenchmarks:
     def test_table1_rows_present(self):
         assert benchmark_names() == [
