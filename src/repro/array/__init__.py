@@ -10,8 +10,8 @@ telemetry into one array-level result.
 
 The new failure regime this opens is *array-level* end of life: with the
 ``fail-stop`` policy the array dies with its first shard; with the
-``degraded`` policy a dead shard drops out of the decoder, its traffic
-re-decodes onto the survivors (a :class:`SegmentedTrace` distribution
+``degraded`` policy a dead shard's addresses re-home onto the survivors
+through the engine's address map (a :class:`SegmentedTrace` distribution
 switch at the next epoch boundary), and the array keeps serving at
 reduced usable capacity until the last shard dies.  Both are reported
 through an :class:`ArrayEndOfLifeReport` carrying a per-shard census.

@@ -1,4 +1,4 @@
-"""The array engine: shared-nothing shards behind one decoder.
+"""The array engine: shared-nothing shards behind one address map.
 
 :class:`ArrayEngine` services a single global write distribution with an
 array of independent shard stacks (chip + Start-Gap + recovery), each a
@@ -6,27 +6,31 @@ full :class:`~repro.sim.fast.FastEngine` run as a grid cell of the
 parallel harness.  Shards never share state; what couples them is pure
 arithmetic:
 
-* the :class:`~repro.array.decoder.InterleavedDecoder` projects the
-  global distribution into per-shard local mass vectors (a shard's
-  *share* is its mass);
+* the address map — a :class:`~repro.balance.remap.BalancedDecoder`
+  over the :class:`~repro.array.decoder.InterleavedDecoder` geometry,
+  the identity until something mutates it — projects the global
+  distribution into per-shard local mass vectors (a shard's *share* is
+  its mass);
 * a **global write clock** relates the shards: a shard with share ``f``
   advances its local clock ``f`` writes per global write, giving each
   shard a piecewise-linear local<->global map that the engine maintains
   as shares change.
 
-End-of-life is decided on the global clock.  Each *round*, every live
-shard runs to its own stop condition; the earliest death on the global
-clock wins (ties broken by shard id):
+There is one run loop.  Each *round*, every live shard runs to its own
+stop condition, capped at the next scheduled control event (a steering
+checkpoint or a shard addition; a static array has none).  The earliest
+death on the global clock wins (ties broken by shard id):
 
 ``fail-stop``
     The array dies with its first shard.  Survivors are re-run capped at
     the death point (epoch-aligned) so the merged result describes the
     array at the moment it stopped.
 ``degraded``
-    The dead shard drops out of the decoder: its local mass re-decodes
-    round-robin onto the survivors, whose traces gain a new segment at
-    their next epoch boundary, and the array keeps serving at reduced
-    usable capacity until the last shard dies (or the budget runs out).
+    The dead shard's addresses re-home through the map
+    (:meth:`~repro.balance.remap.BalancedDecoder.rehome`); every
+    survivor that inherits traffic gains a trace segment at its next
+    epoch boundary, and the array keeps serving at reduced usable
+    capacity until the last shard dies (or the budget runs out).
 
 Determinism: per-shard seeds derive from the array seed and shard index
 only, segment boundaries and write caps are quantized to whole epochs,
@@ -98,7 +102,8 @@ class ArrayConfig:
     #: Max hot/cold swaps per rebalance round (2 migration writes each).
     remap_budget: int = 8
     #: Global writes between steering checkpoints (None with ``balance``:
-    #: steer only at shard-death boundaries).
+    #: steer only at shard-death boundaries, so with ``remap_budget=0``
+    #: the run is exactly the static one).
     balance_every: Optional[int] = None
     #: Minimum risk spread before the leveler engages.
     min_risk_gap: float = 0.02
@@ -154,6 +159,9 @@ class _ShardState:
     death_global: Optional[float] = None
     #: Fail-stop: epoch-aligned local write cap for the truncation re-run.
     forced_cap: Optional[int] = None
+    #: Earliest segment boundary appended since ``result`` was recorded
+    #: (None: the record ran on the current trace).
+    changed_at: Optional[int] = None
 
     @property
     def share(self) -> float:
@@ -195,28 +203,39 @@ class ArrayEngine:
                  label: str = "array", jobs: int = 1, batch: int = 1,
                  schedule: Optional[FaultSchedule] = None,
                  progress: Optional[ProgressFn] = None) -> None:
+        from ..balance.health import ShardHealthModel
+        from ..balance.leveler import LevelerPolicy
+        from ..balance.remap import BalancedDecoder
         self.config = config
         self.label = label
         self.jobs = jobs
         self.batch = batch
         self.schedule = schedule
         self.progress = progress
-        self.decoder = InterleavedDecoder(
+        base = InterleavedDecoder(
             config.num_shards, config.software_blocks,
             interleave=config.interleave, page_blocks=config.page_blocks)
-        if trace.virtual_blocks < self.decoder.global_blocks:
+        if trace.virtual_blocks < base.global_blocks:
             raise ConfigurationError(
                 f"trace covers {trace.virtual_blocks} blocks, the array "
-                f"decodes {self.decoder.global_blocks}; build the workload "
+                f"decodes {base.global_blocks}; build the workload "
                 f"for the array's global space")
-        folded = trace.restricted_to(self.decoder.global_blocks)
+        folded = trace.restricted_to(base.global_blocks)
         self.probabilities = folded.probabilities
+        #: The address map: the identity over *base* until a degraded
+        #: death, a steering swap or a shard addition mutates it.
+        self.decoder: "BalancedDecoder" = BalancedDecoder(base)
+        self.health: "ShardHealthModel" = ShardHealthModel(
+            config.num_shards,
+            endurance_budget=config.shard_blocks * config.mean_endurance,
+            seed=config.seed)
+        self._leveler: "LevelerPolicy" = LevelerPolicy(
+            budget=config.remap_budget, min_gap=config.min_risk_gap)
         self.result: Optional[ArrayResult] = None
-        #: True when the run goes through the balance control plane.
+        #: True when the run publishes the balance control plane's
+        #: counters and health gauges.
         self.balanced = (config.balance
                          or config.add_shard_at is not None)
-        self.bdecoder: Optional["BalancedDecoder"] = None
-        self.health: Optional["ShardHealthModel"] = None
         self._states: List[_ShardState] = []
         self._seeds: List[int] = []
         self._migration_writes = 0
@@ -250,83 +269,19 @@ class ArrayEngine:
     # ------------------------------------------------------------------- run
 
     def run(self) -> ArrayResult:
-        """Simulate the array to its end of life; return the merged result."""
-        if self.balanced:
-            return self._run_balanced()
-        cfg = self.config
-        states = [self._boot_state(i) for i in range(cfg.num_shards)]
-        seeds = [shard_seed(cfg.seed, i) for i in range(cfg.num_shards)]
-        dead_order: List[int] = []
-        pending = [i for i in range(cfg.num_shards) if states[i].share > 0]
-        for i in range(cfg.num_shards):
-            if states[i].share <= 0:
-                states[i].result = idle_result(i, cfg.software_blocks)
-        rounds = 0
-        stop: Optional[StopReason] = None
-        while stop is None:
-            rounds += 1
-            self._run_round(rounds, pending, states, seeds)
-            deaths: List[Tuple[float, int]] = []
-            for i, state in enumerate(states):
-                record = state.result
-                if (state.dead or record is None
-                        or record["stop"] == StopCause.MAX_WRITES.value):
-                    continue
-                deaths.append((self._global_at_local(
-                    state, int(record["local_writes"])), i))
-            deaths.sort()
-            if not deaths:
-                stop = StopReason(StopCause.MAX_WRITES)
-                break
-            death_global, victim = deaths[0]
-            states[victim].dead = True
-            states[victim].death_global = death_global
-            dead_order.append(victim)
-            live = [i for i in range(cfg.num_shards) if not states[i].dead]
-            if cfg.policy == "fail-stop":
-                pending = self._truncate_survivors(states, live,
-                                                   death_global)
-                if pending:
-                    rounds += 1
-                    self._run_round(rounds, pending, states, seeds)
-                stop = StopReason(
-                    StopCause.SHARD_FAILED,
-                    f"shard {victim} at ~{int(death_global):,} "
-                    f"global writes")
-                break
-            if not live:
-                stop = StopReason(StopCause.EXHAUSTED, "all shards dead")
-                break
-            pending = self._redistribute(states, victim, live, death_global)
-        return self._assemble(states, dead_order, stop, rounds)
+        """Simulate the array to its end of life; return the merged result.
 
-    # ----------------------------------------------------------- balanced run
-
-    def _run_balanced(self) -> ArrayResult:
-        """The balance control plane: steering + elastic growth.
-
-        Same round structure as the legacy loop, with two additions: a
-        rolling *horizon* (the next scheduled control event on the
-        global clock) caps every cell run, and when a round ends with
-        every live shard parked at the horizon the event fires — feed
-        the health model, add the scheduled shard, plan bounded swaps —
-        before the loop resumes.  Deaths always take priority over
-        control events, and an event that a death overtakes slips to the
-        death's global time so segment boundaries stay monotone.
+        Each round runs the pending shards, capped at the *horizon* —
+        the next scheduled control event on the global clock.  A static
+        array has no events, so its shards run to their own deaths (or
+        the budget).  When a round ends with every live shard parked at
+        the horizon the event fires — add the scheduled shard, plan
+        bounded swaps — before the loop resumes.  Deaths always take
+        priority over control events, and an event that a death
+        overtakes slips to the death's global time so segment
+        boundaries stay monotone.
         """
-        from ..balance.health import ShardHealthModel
-        from ..balance.leveler import LevelerPolicy
-        from ..balance.remap import BalancedDecoder
         cfg = self.config
-        bdec = BalancedDecoder(self.decoder)
-        self.bdecoder = bdec
-        health = ShardHealthModel(
-            cfg.num_shards,
-            endurance_budget=cfg.shard_blocks * cfg.mean_endurance,
-            seed=cfg.seed)
-        self.health = health
-        policy = LevelerPolicy(budget=cfg.remap_budget,
-                               min_gap=cfg.min_risk_gap)
         states = self._states = [self._boot_state(i)
                                  for i in range(cfg.num_shards)]
         seeds = self._seeds = [shard_seed(cfg.seed, i)
@@ -354,15 +309,15 @@ class ArrayEngine:
                     state, int(record["local_writes"])), i))
             deaths.sort()
             live = [i for i in range(len(states)) if not states[i].dead]
-            self._observe_health(health, states, live)
+            self._observe_health(states, live)
             if deaths:
                 death_global, victim = deaths[0]
                 victim_record = states[victim].result
                 victim_writes = (float(victim_record["local_writes"])
                                  if victim_record is not None else 0.0)
-                health.observe(victim, victim_writes,
-                               self._failed_fraction(victim_record),
-                               dead=True)
+                self.health.observe(victim, victim_writes,
+                                    self._failed_fraction(victim_record),
+                                    dead=True)
                 states[victim].dead = True
                 states[victim].death_global = death_global
                 dead_order.append(victim)
@@ -385,7 +340,7 @@ class ArrayEngine:
                     break
                 affected = self._rehome_victim(victim, live)
                 if cfg.balance:
-                    affected |= self._steer(health, live, policy)
+                    affected |= self._steer(live)
                 self._apply_masses(states, affected, death_global)
                 # Control events a death overtakes slip to the death's
                 # global time, keeping segment boundaries monotone.
@@ -403,7 +358,7 @@ class ArrayEngine:
                 add_at = None
             if (cfg.balance and next_balance is not None
                     and horizon >= next_balance):
-                affected |= self._steer(health, live, policy)
+                affected |= self._steer(live)
                 assert cfg.balance_every is not None
                 next_balance = horizon + float(cfg.balance_every)
             self._apply_masses(states, affected, horizon)
@@ -423,33 +378,42 @@ class ArrayEngine:
 
     def _pending_shards(self, states: List[_ShardState],
                         horizon: Optional[float]) -> List[int]:
-        """Live shards whose recorded run does not reach the current cap."""
+        """Live shards whose recorded run is stale or short of its cap.
+
+        A record is stale when its shard's trace gained a segment inside
+        the recorded run — a death record included: that death happened
+        under traffic the shard no longer sees.  A death record the new
+        traffic does not reach stays valid and waits its turn in the
+        death queue.
+        """
         pending = []
         for i, state in enumerate(states):
+            record = state.result
             if state.dead or state.share <= 0:
-                if state.result is None:
+                if record is None:
                     state.result = idle_result(
                         i, self.config.software_blocks)
                 continue
-            record = state.result
             if record is None:
                 pending.append(i)
                 continue
-            if record["stop"] != StopCause.MAX_WRITES.value:
-                continue  # an unprocessed death: no re-run, no new cap
-            if int(record["local_writes"]) != self._cap_for(state, horizon):
+            local_writes = int(record["local_writes"])
+            if state.changed_at is not None \
+                    and state.changed_at < local_writes:
+                pending.append(i)
+            elif (record["stop"] == StopCause.MAX_WRITES.value
+                    and local_writes != self._cap_for(state, horizon)):
                 pending.append(i)
         return pending
 
-    def _observe_health(self, health: "ShardHealthModel",
-                        states: List[_ShardState],
+    def _observe_health(self, states: List[_ShardState],
                         live: List[int]) -> None:
         """Feed every live shard's latest record into the health model."""
         for i in live:
             record = states[i].result
             if record is not None:
-                health.observe(i, float(record["local_writes"]),
-                               self._failed_fraction(record))
+                self.health.observe(i, float(record["local_writes"]),
+                                    self._failed_fraction(record))
 
     @staticmethod
     def _failed_fraction(record: Optional[dict]) -> float:
@@ -462,28 +426,33 @@ class ArrayEngine:
             and not isinstance(value, bool) else 0.0
 
     def _rehome_victim(self, victim: int, live: List[int]) -> Set[int]:
-        """Degraded death through the elastic map; returns changed shards."""
-        assert self.bdecoder is not None
-        affected_addresses = self.bdecoder.rehome(victim, live)
+        """Degraded death through the address map.
+
+        :meth:`~repro.balance.remap.BalancedDecoder.rehome` is the one
+        re-home rule: slot ``l`` of the dead shard moves to
+        ``live[l mod len(live)]`` at the same slot.  Returns the
+        survivors that inherit traffic; one that inherits only
+        never-written addresses keeps its trace, since a new segment
+        would reseed its draws.
+        """
+        moved = self.decoder.rehome(victim, live)
         self._states[victim].mass = np.zeros_like(
             self._states[victim].mass)
-        owners = self.bdecoder.shard_of(affected_addresses)
+        owners = self.decoder.shard_of(moved[self.probabilities[moved] > 0])
         return {int(s) for s in np.unique(np.asarray(owners))}
 
-    def _steer(self, health: "ShardHealthModel", live: List[int],
-               policy: "LevelerPolicy") -> Set[int]:
+    def _steer(self, live: List[int]) -> Set[int]:
         """One bounded leveler round; returns the shards whose map changed."""
         from ..balance.leveler import plan_swaps
-        assert self.bdecoder is not None
-        swaps = plan_swaps(self.bdecoder, self.probabilities,
-                           health.risks(), live, policy)
+        swaps = plan_swaps(self.decoder, self.probabilities,
+                           self.health.risks(), live, self._leveler)
         affected: Set[int] = set()
         if swaps:
             self._remap_swaps += len(swaps)
             self._migration_writes += 2 * len(swaps)
             for hot, cold in swaps:
-                affected.add(int(self.bdecoder.shard_of(hot)))
-                affected.add(int(self.bdecoder.shard_of(cold)))
+                affected.add(int(self.decoder.shard_of(hot)))
+                affected.add(int(self.decoder.shard_of(cold)))
         return affected
 
     def add_shard(self, at_global: float) -> Set[int]:
@@ -495,12 +464,11 @@ class ArrayEngine:
         donor shards whose traffic changed (the new shard's own state is
         installed directly).
         """
-        assert self.bdecoder is not None and self.health is not None
         cfg = self.config
-        movers, donors = self.bdecoder.add_shard()
+        movers, donors = self.decoder.add_shard()
         new_index = len(self._states)
         self._seeds.append(shard_seed(cfg.seed, new_index))
-        mass = self.bdecoder.local_mass(self.probabilities, new_index)
+        mass = self.decoder.local_mass(self.probabilities, new_index)
         state = _ShardState(
             mass=mass, segments=[(0, mass.copy())],
             pieces=[(0, float(at_global), float(mass.sum()))])
@@ -515,12 +483,11 @@ class ArrayEngine:
     def _apply_masses(self, states: List[_ShardState],
                       affected: Iterable[int], at_global: float) -> None:
         """Re-project masses for *affected* shards at the event boundary."""
-        assert self.bdecoder is not None
         for i in sorted(set(affected)):
             state = states[i]
             if state.dead:
                 continue
-            new_mass = self.bdecoder.local_mass(self.probabilities, i)
+            new_mass = self.decoder.local_mass(self.probabilities, i)
             boundary = self._epoch_ceil(
                 self._local_at_global(state, at_global))
             boundary = max(boundary, state.segments[-1][0])
@@ -542,9 +509,9 @@ class ArrayEngine:
                    horizon: Optional[float] = None) -> None:
         """Run the pending shards' cells and record their results.
 
-        *horizon* (balanced runs) caps every cell at the epoch boundary
-        covering that global write count, so a control event can fire
-        with all live shards parked at the same point of the clock.
+        *horizon* caps every cell at the epoch boundary covering that
+        global write count, so a control event can fire with all live
+        shards parked at the same point of the clock.
         """
         if not pending:
             return
@@ -559,6 +526,7 @@ class ArrayEngine:
         values = runner.run(cells)
         for i in pending:
             states[i].result = values[f"{self.label}/r{round_no}/s{i}"]
+            states[i].changed_at = None
 
     def _cap_for(self, state: _ShardState,
                  horizon: Optional[float] = None) -> Optional[int]:
@@ -616,38 +584,6 @@ class ArrayEngine:
                 pending.append(i)
         return pending
 
-    def _redistribute(self, states: List[_ShardState], victim: int,
-                      live: List[int], death_global: float) -> List[int]:
-        """Degraded mode: re-decode the dead shard's mass onto survivors.
-
-        Local address ``l`` of the dead shard re-homes to the survivor at
-        round-robin position ``l mod len(live)``, at the same local
-        position — deterministic, capacity-free, and spreading any hot
-        set of the dead shard across every survivor.  Returns the shards
-        whose traffic actually changed (only those re-run).
-        """
-        cfg = self.config
-        dead_mass = states[victim].mass
-        states[victim].mass = np.zeros_like(dead_mass)
-        positions = np.arange(cfg.software_blocks, dtype=np.int64)
-        pending = []
-        for slot, survivor in enumerate(live):
-            take = positions % len(live) == slot
-            inherited = dead_mass[take]
-            if inherited.sum() <= 0:
-                continue
-            state = states[survivor]
-            state.mass = state.mass.copy()
-            state.mass[take] += inherited
-            boundary = self._epoch_ceil(
-                self._local_at_global(state, death_global))
-            global_at_boundary = max(
-                death_global, self._global_at_local(state, boundary))
-            self._append_segment(state, boundary, state.mass.copy(),
-                                 global_at_boundary)
-            pending.append(survivor)
-        return pending
-
     def _append_segment(self, state: _ShardState, boundary: int,
                         mass: np.ndarray, global_start: float) -> None:
         """Extend a shard's trace and clock map at an epoch boundary.
@@ -666,6 +602,8 @@ class ArrayEngine:
             pieces.append((boundary, global_start, float(mass.sum())))
         state.segments = segments
         state.pieces = pieces
+        state.changed_at = (boundary if state.changed_at is None
+                            else min(state.changed_at, boundary))
 
     # -------------------------------------------------------------- assembly
 
@@ -749,7 +687,7 @@ class ArrayEngine:
             extra["counters"]["balance.remap-swaps"] = self._remap_swaps
             extra["counters"]["balance.shards-added"] = self._shards_added
         merged = merge_snapshots(merged, extra)
-        if self.health is not None:
+        if self.balanced:
             session = TelemetrySession()
             self.health.publish(session)
             merged = merge_snapshots(merged,

@@ -19,9 +19,10 @@ as the base decoder would) and then absorbs three kinds of mutation:
 ``rehome``
     Degraded-mode shard death: every address homed on the dead shard
     moves to survivor ``live[slot mod len(live)]`` at the *same* local
-    slot — exactly the array engine's re-decode rule, which makes the
-    map many-to-one (a survivor slot can host inherited addresses on
-    top of its own).
+    slot.  This is the only degraded re-home rule: the array engine and
+    the serving engine both apply it here, so a second death chains
+    from the first one's result.  It makes the map many-to-one (a
+    survivor slot can host inherited addresses on top of its own).
 
 The map serializes to a sparse :class:`RemapTable` (only non-identity
 entries) that round-trips through JSON, so a control plane can persist
@@ -129,11 +130,11 @@ class RemapTable:
 class BalancedDecoder:
     """A growable, remappable view over an interleaved base decoder.
 
-    Presents the same decoding surface as the base
-    (:meth:`shard_of`/:meth:`local_of`/:meth:`decode`, plus the mass
-    projections the array engine uses) but reads every answer from the
-    materialized map, so mutations are O(affected addresses) and lookups
-    are O(1) gathers.
+    Presents the base's decoding surface
+    (:meth:`shard_of`/:meth:`local_of`/:meth:`decode`) plus the mass
+    projections the array engine and the leveler use, and reads every
+    answer from the materialized map, so mutations are O(affected
+    addresses) and lookups are O(1) gathers.
     """
 
     def __init__(self, base: InterleavedDecoder) -> None:
@@ -226,9 +227,11 @@ class BalancedDecoder:
     def rehome(self, dead_shard: int, live: List[int]) -> np.ndarray:
         """Move a dead shard's addresses onto the survivors.
 
-        Applies the array engine's degraded-mode rule: slot ``l`` of the
-        dead shard re-homes to ``live[l mod len(live)]`` at the same
-        slot.  Returns the affected global addresses.
+        The degraded-mode rule of both the array and the serving
+        engine: slot ``l`` of the dead shard re-homes to
+        ``live[l mod len(live)]`` at the same slot.  Addresses the dead
+        shard had itself inherited move on with it, so successive
+        deaths chain.  Returns the affected global addresses.
         """
         if not live:
             raise ConfigurationError("rehome needs at least one survivor")

@@ -2,7 +2,8 @@
 
 :class:`ServiceEngine` runs a closed-loop service on a *virtual clock*:
 a single heap of ``(tick, seq)``-ordered events drives N simulated
-clients, the :class:`~repro.array.InterleavedDecoder` routing, per-shard
+clients, routing through the
+:class:`~repro.balance.remap.BalancedDecoder` address map, per-shard
 bounded queues with batching windows, admission control, deadline
 budgets with bounded exponential-backoff retries, circuit breakers with
 wear-fed brownout steering, and live degraded-mode failover when a
@@ -99,7 +100,9 @@ class ServiceEngine:
         #: True when the repro.balance control plane is live: steering,
         #: elastic growth, or both.
         self.balanced = config.balance or config.add_shard_at is not None
-        self.decoder: Any = BalancedDecoder(base) if self.balanced else base
+        #: The address map: the identity over *base* until a degraded
+        #: death, a steering swap or a shard addition mutates it.
+        self.decoder = BalancedDecoder(base)
         self.health: Optional[ShardHealthModel] = None
         self._policy: Optional[LevelerPolicy] = None
         if self.balanced:
@@ -287,15 +290,12 @@ class ServiceEngine:
         if not live:
             self._finish(request, "failed")
             return
-        shard, slot = self.decoder.decode(request.address)
-        sid, local = int(shard), int(slot)
+        sid = int(self.decoder.shard_of(request.address))
         if not self.stations[sid].alive:
-            if self.config.policy == "fail-stop":
-                self._finish(request, "failed")
-                return
-            # The array's degraded re-home rule: the dead shard's local
-            # address keeps its position, on the survivor it hashes to.
-            sid = live[local % len(live)]
+            # Only fail-stop leaves a dead shard in the map: a degraded
+            # death re-homes the shard's addresses in ``_kill``.
+            self._finish(request, "failed")
+            return
         if request.is_write:
             sid = self._steer(sid, live)
         self._admit(self.stations[sid], request)
@@ -472,9 +472,10 @@ class ServiceEngine:
             self.health.observe(station.sid, station.writes_served, 0.0,
                                 dead=True)
         live = self._live_sids
-        if (self.balanced and self.config.policy == "degraded" and live):
-            # Fold the degraded re-home rule into the balanced map, so
-            # later steering rounds see the survivors' true ownership.
+        if self.config.policy == "degraded" and live:
+            # The array's degraded re-home rule, applied to the map once:
+            # routing, and later steering rounds, see the survivors'
+            # true ownership.
             self.decoder.rehome(station.sid, live)
         self._displace(station.drain())
 

@@ -16,8 +16,10 @@ from repro.array import (ArrayConfig, ArrayEngine, InterleavedDecoder,
                          hotspot_workload, shard_attack_workload,
                          shard_seed, uniform_workload)
 from repro.array.__main__ import main as array_main
+from repro.balance import BalancedDecoder
 from repro.errors import ConfigurationError
 from repro.faultinject import shard_death_schedule
+from repro.traces.base import DistributionTrace
 
 PAGE = 16
 
@@ -25,6 +27,12 @@ PAGE = 16
 def make_decoder(shards=4, blocks=240, interleave="block"):
     return InterleavedDecoder(shards, blocks, interleave=interleave,
                               page_blocks=PAGE)
+
+
+def make_map(shards=4, blocks=240, interleave="block"):
+    """Identity address map over the interleaved geometry: the one
+    source of per-shard traffic projections."""
+    return BalancedDecoder(make_decoder(shards, blocks, interleave))
 
 
 def make_config(**overrides):
@@ -53,7 +61,7 @@ class TestInterleavedDecoder:
 
     @pytest.mark.parametrize("interleave", ["block", "page"])
     def test_uniform_traffic_splits_evenly(self, interleave):
-        decoder = make_decoder(interleave=interleave)
+        decoder = make_map(interleave=interleave)
         probabilities = np.full(decoder.global_blocks,
                                 1.0 / decoder.global_blocks)
         masses = decoder.shard_masses(probabilities)
@@ -69,15 +77,19 @@ class TestInterleavedDecoder:
             assert len(set(page_shards.tolist())) == 1
 
     def test_local_mass_partitions_the_distribution(self):
-        decoder = make_decoder()
+        decoder = make_map()
         rng = np.random.default_rng(3)
         probabilities = rng.random(decoder.global_blocks)
         probabilities /= probabilities.sum()
         masses = [decoder.local_mass(probabilities, s) for s in range(4)]
         assert sum(float(m.sum()) for m in masses) == pytest.approx(1.0)
+        slots = np.arange(240, dtype=np.int64)
         for shard, mass in enumerate(masses):
             assert float(mass.sum()) == pytest.approx(
                 float(decoder.shard_masses(probabilities)[shard]))
+            # The identity map projects exactly the base geometry.
+            np.testing.assert_array_equal(
+                mass, probabilities[decoder.base.encode(shard, slots)])
 
     @pytest.mark.parametrize("bad", [
         dict(num_shards=0, shard_blocks=240),
@@ -94,7 +106,7 @@ class TestInterleavedDecoder:
             InterleavedDecoder(**kwargs)
 
     def test_probability_shape_is_checked(self):
-        decoder = make_decoder()
+        decoder = make_map()
         with pytest.raises(ConfigurationError):
             decoder.shard_masses(np.ones(decoder.global_blocks - 1))
 
@@ -274,6 +286,28 @@ class TestArrayEndOfLife:
     def test_attack_kills_the_victim_shard_first(self):
         result = run_array(workload="attack")
         assert result.report.dead_shards[0] == 0
+
+    def test_survivor_inheriting_no_traffic_keeps_its_trace(self):
+        """A re-home can hand a survivor only never-written addresses.
+        Its traffic is unchanged, so it gains no trace segment: a new
+        segment would reseed the rest of its draws."""
+        config = make_config(num_shards=3)
+        decoder = make_decoder(shards=3, blocks=config.software_blocks)
+        shard, local = decoder.decode(
+            np.arange(decoder.global_blocks, dtype=np.int64))
+        # Shard 1 runs hottest and dies first.  Only its even slots are
+        # written, and live[l % 2] sends every one of them to shard 0.
+        weights = np.where((shard != 1) | (local % 2 == 0), 1.0, 0.0)
+        weights[shard == 1] *= 6.0
+        engine = ArrayEngine(config, DistributionTrace(
+            weights / weights.sum(), name="sparse", seed=7))
+        result = engine.run()
+        assert result.report.dead_shards == (1, 0, 2)
+        starts = [[start for start, _ in state.segments]
+                  for state in engine._states]
+        # Shard 0 inherits at the first death; shard 2 only at the
+        # second.
+        assert len(starts[0]) == 2 and len(starts[2]) == 2
 
 
 class TestArrayDeterminism:

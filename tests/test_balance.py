@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.array import ArrayConfig, ArrayEngine, InterleavedDecoder
-from repro.array.workloads import zipf_workload
+from repro.array.workloads import hotspot_workload, zipf_workload
 from repro.balance import (BalancedDecoder, HealthConfig, LevelerPolicy,
                            RemapTable, ShardHealthModel, movers_mask,
                            plan_swaps)
@@ -372,6 +372,35 @@ class TestArrayBalance:
         assert 1 in result.report.dead_shards
         assert result.report.num_shards == 4
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("kill", [False, True])
+    def test_zero_budget_balance_is_the_static_run(self, seed, kill):
+        """With no swap budget and no checkpoints the control plane can
+        change nothing: the run must equal the static one, field for
+        field, apart from the balance metrics it publishes.  Every
+        survivor whose trace gains a segment inside its recorded death
+        run has to re-run, exactly as in the static array."""
+        def run(balance):
+            config = ArrayConfig(num_shards=4, shard_blocks=256,
+                                 page_blocks=16, mean_endurance=150.0,
+                                 psi=8, batch_writes=1_000, seed=seed,
+                                 balance=balance, remap_budget=0)
+            decoder = InterleavedDecoder(
+                config.num_shards, config.software_blocks,
+                page_blocks=16)
+            schedule = (shard_death_schedule(1, 1500, 256) if kill
+                        else None)
+            result = ArrayEngine(config, hotspot_workload(decoder, seed=seed),
+                                 schedule=schedule).run().as_dict()
+            for kind in ("counters", "gauges"):
+                result["snapshot"][kind] = {
+                    name: value
+                    for name, value in result["snapshot"][kind].items()
+                    if not name.startswith("balance.")}
+            return json.dumps(result, sort_keys=True)
+
+        assert run(balance=True) == run(balance=False)
+
     def test_health_gauges_reach_the_snapshot(self):
         result = _array_result(balance=True)
         gauges = result.snapshot["gauges"]
@@ -459,11 +488,10 @@ class TestServeBalance:
         assert max(balanced) - min(balanced) < max(static) - min(static)
 
     def test_legacy_serve_snapshot_is_unchanged(self):
-        # The balance fields default off: the engine must construct the
-        # plain InterleavedDecoder and add no balance metrics.
+        # The balance fields default off: the engine must add no
+        # balance metrics.
         config = _serve_config()
         engine = ServiceEngine(config)
-        assert isinstance(engine.decoder, InterleavedDecoder)
         result = engine.run(jobs=1)
         counters = result.snapshot["counters"]
         assert "serve.remap_swaps" not in counters

@@ -8,8 +8,11 @@ and the degraded re-home rule directly.
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.array import InterleavedDecoder
+from repro.balance import BalancedDecoder
 from repro.errors import ConfigurationError, ProtocolError
 from repro.faultinject import (FaultAction, FaultSchedule,
                                shard_death_schedule, shard_stall_schedule)
@@ -159,15 +162,40 @@ class TestAccounting:
         config = ServeConfig(num_shards=3, shard_blocks=64, clients=1,
                              total_requests=1, seed=3)
         engine = ServiceEngine(config)
-        engine.stations[1].alive = False
+        engine._kill(engine.stations[1])
         live = [0, 2]
         local = 5
-        address = int(engine.decoder.encode(1, local))
+        address = int(engine.decoder.base.encode(1, local))
         request = Request(rid=0, client=0, address=address, is_write=False,
                           issued_at=0, deadline=100)
         engine._route(request)
         expected = live[local % len(live)]
         assert request in engine.stations[expected].queue
+
+    def test_second_death_chains_the_rehome(self):
+        """After two degraded deaths every address routes to the home
+        the map's chained re-home gives it — the array engine's rule —
+        not to one recomputed from its original shard."""
+        config = ServeConfig(num_shards=4, shard_blocks=64, clients=1,
+                             total_requests=1, seed=3)
+        engine = ServiceEngine(config)
+        engine._kill(engine.stations[1])
+        engine._kill(engine.stations[2])
+        base = InterleavedDecoder(4, 64, page_blocks=config.page_blocks)
+        reference = BalancedDecoder(base)
+        reference.rehome(1, [0, 2, 3])
+        reference.rehome(2, [0, 3])
+        routed = []
+        engine._admit = lambda station, request: routed.append(station.sid)
+        for address in range(config.global_blocks):
+            engine._route(Request(rid=address, client=0, address=address,
+                                  is_write=False, issued_at=0,
+                                  deadline=100))
+        expected = reference.shard_of(np.arange(config.global_blocks))
+        assert routed == expected.tolist()
+        # Slot 3 of shard 1 went to shard 0 at the first death and
+        # stays there: live[3 % 2] over the final survivors would say 3.
+        assert routed[int(base.encode(1, 3))] == 0
 
 
 # ---------------------------------------------------- admission control
