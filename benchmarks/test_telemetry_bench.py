@@ -8,8 +8,9 @@ lifetime with telemetry detached and attached:
 
 * detached vs. attached overhead is reported (attached is allowed to
   cost a little — it times three phases per epoch);
-* the detached run must not be slower than the attached one beyond noise,
-  and the two must produce bit-identical simulation results either way
+* the detached run must not be slower than the attached one beyond noise
+  (each side keeps its fastest of three runs, interleaved after a
+  warm-up), and every run must produce bit-identical simulation results
   (telemetry observes, never perturbs).
 """
 
@@ -25,6 +26,8 @@ from repro.wl import StartGap
 
 NUM_BLOCKS = 4096
 MAX_WRITES = 3_000_000
+#: Timed runs per side; each side keeps its fastest.
+RUNS = 3
 
 
 def _build_engine():
@@ -50,19 +53,29 @@ def _lifetime(instrumented):
 
 
 def test_disabled_telemetry_costs_nothing(benchmark, once, capsys):
-    # Interleave A/B/A to keep cache and thermal drift out of the margin.
-    plain_stats, warm = _lifetime(instrumented=False)
-    instr_stats, instrumented_s = _lifetime(instrumented=True)
-    plain_stats2, detached_s = once(benchmark, _lifetime, instrumented=False)
+    # Warm up, then interleave the sides and keep each side's fastest of
+    # RUNS, so cache warm-up and host noise land on neither side's tally.
+    _, warm = _lifetime(instrumented=False)
+    detached_runs, instrumented_runs = [], []
+    for _ in range(RUNS - 1):
+        instrumented_runs.append(_lifetime(instrumented=True))
+        detached_runs.append(_lifetime(instrumented=False))
+    instrumented_runs.append(_lifetime(instrumented=True))
+    detached_runs.append(once(benchmark, _lifetime, instrumented=False))
+    detached_s = min(seconds for _, seconds in detached_runs)
+    instrumented_s = min(seconds for _, seconds in instrumented_runs)
+    plain_stats = detached_runs[0][0]
     with capsys.disabled():
         print()
         print(f"fast engine {NUM_BLOCKS} blocks, "
               f"{plain_stats['total_writes']:,} writes: detached "
               f"{detached_s:.2f}s (warm-up {warm:.2f}s), instrumented "
               f"{instrumented_s:.2f}s "
-              f"({instrumented_s / detached_s:.2f}x)")
+              f"({instrumented_s / detached_s:.2f}x; fastest of {RUNS} "
+              f"each)")
     # Telemetry observes, never perturbs: identical simulation outcome.
-    assert plain_stats == plain_stats2 == instr_stats
+    assert all(stats == plain_stats
+               for stats, _ in detached_runs + instrumented_runs)
     # The detached run must show no telemetry slowdown; 20% headroom
     # absorbs scheduler noise on a busy machine (the real check is that
     # detached does not trend toward the instrumented time).

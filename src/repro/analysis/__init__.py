@@ -20,8 +20,8 @@ package documents:
 * **TELEM-API** — telemetry counter/span misuse outside the
   :mod:`repro.telemetry` facade.
 * **SOA-ALIAS** — chained advanced-index stores and copy-semantics rebinds
-  on values that must alias the batched kernel's struct-of-arrays rows
-  (whole-program: ``register_batchable`` build/finish pairs are exempt).
+  on values that must alias a shared array (device wear, failure flags,
+  redirect tables).
 * **SHM-LIFE** — ``SharedMemory`` handles that miss ``close()`` on some
   path or ``unlink()`` twice, tracked through try/finally.
 * **DET-WALLCLOCK** — wall-clock and unseeded-random reads

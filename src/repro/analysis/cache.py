@@ -29,7 +29,7 @@ from .core import Finding, Rule
 
 #: Bump whenever any rule's behavior changes, so cached findings produced
 #: by the old semantics cannot satisfy the new gate.
-RULESET_VERSION = "2026.08.1"
+RULESET_VERSION = "2026.10.1"
 
 
 def ruleset_fingerprint(rules: Sequence[Rule]) -> str:

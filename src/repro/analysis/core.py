@@ -7,8 +7,8 @@ suppressions and path exemptions so rules stay purely syntactic.
 :class:`ProjectRule` extends the contract for whole-program analyses: the
 runner builds one :class:`~repro.analysis.project.ProjectModel` over every
 file in the run and hands it to :meth:`ProjectRule.check_project` alongside
-each source, so cross-module facts (batchable build/finish registration,
-import edges) inform per-file findings.  Linting a lone file still works —
+each source, so cross-module facts (import edges, call sites) inform
+per-file findings.  Linting a lone file still works —
 the fallback builds a single-file model.
 """
 

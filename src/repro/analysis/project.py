@@ -1,13 +1,10 @@
 """Whole-program project model: modules, imports, functions, call sites.
 
 The per-file rules of :mod:`repro.analysis.rules` are purely syntactic —
-each sees one parsed module and nothing else.  The protocol invariants the
-batched kernel and the shared-memory transport introduced (row views must
-keep aliasing, build/finish pairs are exempt from aliasing discipline,
-hooks stay ``None``-defaulted everywhere) are *cross-module* contracts:
-whether a function is a registered batchable builder is decided by a
-``register_batchable(...)`` call in some other part of the same module —
-or, for the grid runner, another module entirely.
+each sees one parsed module and nothing else.  Cross-module facts — who
+imports a module, where a protocol function is called, which names a
+function assigns — live in a model of the whole tree that a
+:class:`~repro.analysis.core.ProjectRule` can query.
 
 :class:`ProjectModel` is built once per lint run over every parsed
 :class:`~repro.analysis.core.SourceFile` and gives rules three indexes:
@@ -18,9 +15,9 @@ or, for the grid runner, another module entirely.
 * **functions** — every ``def`` (sync or async, nested and methods
   included) as a :class:`FunctionInfo` with its qualified name, parameter
   list and assigned-name symbol table;
-* **call index** — callee tail name (``register_batchable`` in
-  ``sim.batched.register_batchable(...)``) to every call site, so rules
-  can find protocol registration points without re-walking each tree.
+* **call index** — callee tail name (``attach_fast`` in
+  ``telemetry.attach_fast(...)``) to every call site, so rules can find
+  protocol registration points without re-walking each tree.
 
 Rules receive the model through :class:`~repro.analysis.core.ProjectRule`;
 ``lint_source`` on a lone file builds a single-file model so fixtures and
@@ -235,7 +232,7 @@ class ProjectModel:
         for name, info in self.modules.items():
             edges = set()
             for imported in info.imports:
-                # ``from repro.sim import batched`` records ``repro.sim``;
+                # ``from repro.sim import fast`` records ``repro.sim``;
                 # accept both the exact module and any project child of it.
                 if imported in local:
                     edges.add(imported)
@@ -256,28 +253,6 @@ class ProjectModel:
 
     def calls_of(self, tail_name: str) -> List[CallSite]:
         return list(self.call_index.get(tail_name, []))
-
-    def batchable_pairs(self) -> Set[Tuple[str, str]]:
-        """``(module, function name)`` of every registered build/finish pair.
-
-        Mirrors :func:`repro.sim.batched.register_batchable` call sites:
-        positional or keyword ``build=``/``finish=`` arguments referenced by
-        name.  Builders construct *fresh* engines (their arrays are not yet
-        batch rows) and finishers run after the kernel releases the rows, so
-        SOA-ALIAS exempts both ends of the pair.
-        """
-        pairs: Set[Tuple[str, str]] = set()
-        for site in self.calls_of("register_batchable"):
-            named: List[ast.expr] = list(site.node.args[1:3])
-            for keyword in site.node.keywords:
-                if keyword.arg in ("build", "finish"):
-                    named.append(keyword.value)
-            for expr in named:
-                if isinstance(expr, ast.Name):
-                    pairs.add((site.module, expr.id))
-                elif isinstance(expr, ast.Attribute):
-                    pairs.add((site.module, expr.attr))
-        return pairs
 
 
 def build_project(sources: Sequence["SourceFile"]) -> ProjectModel:

@@ -1,10 +1,11 @@
-"""SOA-ALIAS: writes that silently de-alias struct-of-arrays row views.
+"""SOA-ALIAS: writes that silently de-alias array views.
 
-The batched kernel's byte-identical guarantee rests on one invariant: the
-``(N, num_blocks)`` batch arrays and each engine's own attributes are the
-*same memory*.  ``_rehome`` replaces ``chip.wear`` with ``self.wear[i]``
-so every later element-wise mutation lands in the array the kernel scans.
-Two write shapes break that invariant without raising anything:
+The simulators keep device state in numpy arrays that several owners
+share by reference: ``chip.wear`` and ``chip.failed`` are read through
+views by the redirect tables, the wear leveler's migration rows and the
+telemetry hooks, and helpers receive such arrays (or slices of them) as
+parameters and mutate them in place.  Two write shapes break that
+sharing without raising anything:
 
 * **chained advanced-index stores** — ``arr[mask][i] = v``: advanced
   indexing (a boolean mask, an index array, a list) returns a *copy*, so
@@ -21,12 +22,8 @@ View-ness is tracked flow-sensitively by the
 :class:`~repro.analysis.dataflow.ViewnessFlow` domain: parameter and
 row-view origins propagate through slices and ``ravel``; ``.copy()``,
 ``np.*`` constructors, arithmetic and advanced indexing all produce FRESH
-values whose rebinds are unconstrained.
-
-Registered batchable ``build``/``finish`` pairs are exempt via the
-project model: a builder's arrays are not yet batch rows and a finisher
-runs after the kernel released them, mirroring
-:func:`repro.sim.batched.register_batchable`'s contract.
+values whose rebinds are unconstrained.  Both checks apply to every
+function; ``x = x.copy()`` is the one sanctioned opt-out.
 """
 
 from __future__ import annotations
@@ -34,10 +31,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from ..core import Finding, ProjectRule, SourceFile
+from ..core import Finding, Rule, SourceFile
 from ..dataflow import (Env, NDARRAY_ANNOTATIONS, Viewness, ViewnessFlow,
                         is_basic_index, viewness_of)
-from ..project import ProjectModel, module_name_for
 from ..registry import register
 
 
@@ -100,32 +96,24 @@ class _AliasFlow(ViewnessFlow):
 
 
 @register
-class SoaAliasRule(ProjectRule):
-    """Ban copy-semantics writes on values that must alias batch rows."""
+class SoaAliasRule(Rule):
+    """Ban copy-semantics writes on values that must alias shared arrays."""
 
     id = "SOA-ALIAS"
     summary = ("chained advanced-index store or copy-semantics rebind on "
-               "a value that must alias a batch row view")
-    rationale = ("the batched kernel's byte-identical equivalence holds "
-                 "only while every mutation path aliases into the "
-                 "(N, num_blocks) arrays; one `x = x + 1` rebind or "
-                 "`arr[mask][i] = v` chained store mutates a silent copy "
-                 "and the divergence surfaces epochs later as wear drift")
+               "a value that must alias a shared array view")
+    rationale = ("device state (wear, failure flags, redirect tables) is "
+                 "shared by reference between its owners; one "
+                 "`x = x + 1` rebind or `arr[mask][i] = v` chained store "
+                 "mutates a silent copy and the divergence surfaces "
+                 "epochs later as wear drift")
 
-    def check_project(self, src: SourceFile,
-                      project: Optional[ProjectModel]) -> List[Finding]:
-        exempt: Set[str] = set()
-        if project is not None:
-            module = module_name_for(src.path)
-            exempt = {fn for mod, fn in project.batchable_pairs()
-                      if mod == module}
+    def check(self, src: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
         for node in ast.walk(src.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             findings.extend(self._check_chained_stores(src, node))
-            if node.name in exempt:
-                continue
             findings.extend(self._check_rebinds(src, node))
         return findings
 

@@ -31,9 +31,12 @@ from .workloads import (hotspot_workload, shard_attack_workload,
 
 
 def _parser() -> argparse.ArgumentParser:
+    # No prefix matching: a retired flag such as ``--batch`` must fail
+    # loudly instead of silently meaning ``--batch-writes``.
     parser = argparse.ArgumentParser(
         prog="python -m repro.array",
-        description="Simulate a sharded PCM array to its end of life.")
+        description="Simulate a sharded PCM array to its end of life.",
+        allow_abbrev=False)
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--shard-blocks", type=int, default=512,
                         help="device blocks per shard chip")
@@ -69,9 +72,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--dead-fraction", type=float, default=0.3)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--batch", type=int, default=1,
-                        help="shards per struct-of-arrays group (default 1: "
-                             "per-shard engines)")
     parser.add_argument("--no-telemetry", action="store_true")
     parser.add_argument("--kill-shard", type=int, default=None,
                         help="inject a whole-shard death on this shard")
@@ -187,7 +187,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             add_shard_at=args.add_shard_at)
         engine = ArrayEngine(config, _workload(args, config),
                              label=f"array-{args.workload}", jobs=args.jobs,
-                             batch=args.batch, schedule=schedule)
+                             schedule=schedule)
         result = engine.run()
     except ReproError as exc:  # repro: allow(EXC-SWALLOW): CLI boundary — a bad flag combination becomes exit code 2, not a traceback
         print(f"error: {exc}", file=sys.stderr)

@@ -200,7 +200,7 @@ class ArrayEngine:
     """Round-based lifetime simulation of a shard array."""
 
     def __init__(self, config: ArrayConfig, trace: DistributionTrace,
-                 label: str = "array", jobs: int = 1, batch: int = 1,
+                 label: str = "array", jobs: int = 1,
                  schedule: Optional[FaultSchedule] = None,
                  progress: Optional[ProgressFn] = None) -> None:
         from ..balance.health import ShardHealthModel
@@ -209,7 +209,6 @@ class ArrayEngine:
         self.config = config
         self.label = label
         self.jobs = jobs
-        self.batch = batch
         self.schedule = schedule
         self.progress = progress
         base = InterleavedDecoder(
@@ -521,8 +520,7 @@ class ArrayEngine:
             cells.append(Cell(key=key, fn=_CELL_FN,
                               kwargs=self._cell_kwargs(i, states[i],
                                                        seeds[i], horizon)))
-        runner = GridRunner(jobs=self.jobs, progress=self.progress,
-                            batch=self.batch)
+        runner = GridRunner(jobs=self.jobs, progress=self.progress)
         values = runner.run(cells)
         for i in pending:
             states[i].result = values[f"{self.label}/r{round_no}/s{i}"]

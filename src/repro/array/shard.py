@@ -31,7 +31,6 @@ from ..config import StartGapConfig
 from ..faultinject import FaultSchedule, ScheduleDriver
 from ..pcm import AddressGeometry, EnduranceModel, PCMChip
 from ..rng import SeedLike, derive_rng, spawn_seed
-from ..sim.batched import register_batchable
 from ..sim.fast import FastConfig, FastEngine
 from ..telemetry import TelemetrySession, attach_fast
 from ..wl import StartGap
@@ -60,15 +59,14 @@ def deterministic_snapshot(snapshot: Dict[str, Dict[str, object]],
             "histograms": dict(snapshot.get("histograms", {}))}
 
 
-def build_shard_cell(shard: int, seed: int, device_blocks: int,
-                     mean_endurance: float, endurance_cov: float,
-                     max_order: int, ecp_k: int, psi: int,
-                     batch_writes: int, recovery: str, dead_fraction: float,
-                     page_blocks: int, segments: list,
-                     max_writes: Optional[int], schedule: Optional[str],
-                     telemetry: bool, label: str,
-                     ) -> tuple:
-    """Assemble one shard stack; returns ``(engine, context)``.
+def run_shard_cell(shard: int, seed: int, device_blocks: int,
+                   mean_endurance: float, endurance_cov: float,
+                   max_order: int, ecp_k: int, psi: int,
+                   batch_writes: int, recovery: str, dead_fraction: float,
+                   page_blocks: int, segments: list,
+                   max_writes: Optional[int], schedule: Optional[str],
+                   telemetry: bool, label: str) -> dict:
+    """Run one shard stack to its stop condition; return plain data.
 
     ``segments`` is a list of ``[start_write, [probabilities...]]`` pairs
     (the JSON form of the shard's segmented local trace); ``schedule`` is
@@ -100,13 +98,7 @@ def build_shard_cell(shard: int, seed: int, device_blocks: int,
     session = TelemetrySession() if telemetry else None
     if session is not None:
         attach_fast(session, engine)
-    return engine, (shard, session)
-
-
-def finish_shard_cell(engine: FastEngine, summary: object,
-                      context: tuple) -> dict:
-    """Turn a completed shard engine into the cell's plain-data record."""
-    shard, session = context
+    engine.run()
     report = engine.end_of_life_report()
     assert report.stop is not None
     snapshot = (deterministic_snapshot(session.registry.snapshot())
@@ -118,17 +110,6 @@ def finish_shard_cell(engine: FastEngine, summary: object,
             "series": engine.series.to_payload(),
             "report": report.as_dict(),
             "snapshot": snapshot}
-
-
-def run_shard_cell(**kwargs: object) -> dict:
-    """Run one shard stack to its stop condition; return plain data."""
-    engine, context = build_shard_cell(**kwargs)  # type: ignore[arg-type]
-    engine.run()
-    return finish_shard_cell(engine, None, context)
-
-
-register_batchable(f"{__name__}:run_shard_cell",
-                   build_shard_cell, finish_shard_cell)
 
 
 def idle_result(shard: int, virtual_blocks: int) -> dict:

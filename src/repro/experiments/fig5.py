@@ -17,9 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..sim.batched import register_batchable
-from ..sim.fast import FastEngine
-from ..sim.metrics import LifetimeSummary
 from ..traces import BENCHMARKS
 from .common import build_engine, scaled_parameters
 from .parallel import Cell, GridRunner, ProgressFn, cell_seed, make_runner
@@ -57,28 +54,13 @@ class Fig5Result:
     scale: str
 
 
-def _build_cell(scale: str, benchmark: str, system: str,
-                seed: int) -> FastEngine:
-    """Assemble one cell's engine (shared by both execution paths)."""
-    params = scaled_parameters(scale)
-    return build_engine(params, benchmark, ecc="ecp6",
-                        wear_leveling=True, recovery=SYSTEMS[system],
-                        seed=seed, label=f"{benchmark}/{system}")
-
-
-def _finish_cell(engine: FastEngine, summary: LifetimeSummary,
-                 context: object) -> dict:
-    """Summarize one completed cell (shared by both execution paths)."""
-    return {"lifetime": summary.lifetime_writes}
-
-
 def _cell(scale: str, benchmark: str, system: str, seed: int) -> dict:
     """One grid cell: a single engine run (executes in a worker)."""
-    engine = _build_cell(scale, benchmark, system, seed)
-    return _finish_cell(engine, engine.run(), None)
-
-
-register_batchable(f"{__name__}:_cell", _build_cell, _finish_cell)
+    params = scaled_parameters(scale)
+    engine = build_engine(params, benchmark, ecc="ecp6",
+                          wear_leveling=True, recovery=SYSTEMS[system],
+                          seed=seed, label=f"{benchmark}/{system}")
+    return {"lifetime": engine.run().lifetime_writes}
 
 
 def grid(scale: str, benchmarks: List[str], seed: int) -> List[Cell]:
@@ -95,14 +77,14 @@ def grid(scale: str, benchmarks: List[str], seed: int) -> List[Cell]:
 
 
 def run(scale: str = "small", benchmarks: Optional[List[str]] = None,
-        seed: int = 1, jobs: int = 1, batch: int = 1,
+        seed: int = 1, jobs: int = 1,
         resume: Union[None, str, Path] = None,
         progress: Optional[ProgressFn] = None,
         runner: Optional[GridRunner] = None) -> Fig5Result:
     """Measure both configurations' lifetimes for every benchmark."""
     names = benchmarks if benchmarks is not None else list(BENCHMARKS)
     runner = make_runner(jobs=jobs, resume=resume, progress=progress,
-                         runner=runner, batch=batch)
+                         runner=runner)
     values = runner.run(grid(scale, names, seed))
     rows = [Fig5Row(benchmark=name,
                     write_cov=BENCHMARKS[name].write_cov,

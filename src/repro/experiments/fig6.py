@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..sim.batched import register_batchable
-from ..sim.fast import FastEngine
-from ..sim.metrics import LifetimeSeries, LifetimeSummary
+from ..sim.metrics import LifetimeSeries
 from .common import SYSTEM_CONFIGS, build_engine, scaled_parameters
 from .parallel import Cell, GridRunner, ProgressFn, cell_seed, make_runner
 from .report import format_series
@@ -45,28 +43,14 @@ class Fig6Result:
     floor: float = 0.7
 
 
-def _build_cell(scale: str, benchmark: str, system: str,
-                seed: int) -> FastEngine:
-    """Assemble one cell's engine (shared by both execution paths)."""
-    params = scaled_parameters(scale)
-    return build_engine(params, benchmark, seed=seed,
-                        label=f"{benchmark}/{system}",
-                        **SYSTEM_CONFIGS[system])
-
-
-def _finish_cell(engine: FastEngine, summary: LifetimeSummary,
-                 context: object) -> dict:
-    """Summarize one completed cell (shared by both execution paths)."""
-    return {"series": engine.series.to_payload()}
-
-
 def _cell(scale: str, benchmark: str, system: str, seed: int) -> dict:
     """One grid cell: a single engine run (executes in a worker)."""
-    engine = _build_cell(scale, benchmark, system, seed)
-    return _finish_cell(engine, engine.run(), None)
-
-
-register_batchable(f"{__name__}:_cell", _build_cell, _finish_cell)
+    params = scaled_parameters(scale)
+    engine = build_engine(params, benchmark, seed=seed,
+                          label=f"{benchmark}/{system}",
+                          **SYSTEM_CONFIGS[system])
+    engine.run()
+    return {"series": engine.series.to_payload()}
 
 
 def grid(scale: str, benchmarks: List[str], systems: List[str],
@@ -86,7 +70,7 @@ def grid(scale: str, benchmarks: List[str], systems: List[str],
 def run(scale: str = "small",
         benchmarks: Optional[List[str]] = None,
         systems: Optional[List[str]] = None,
-        seed: int = 1, jobs: int = 1, batch: int = 1,
+        seed: int = 1, jobs: int = 1,
         resume: Union[None, str, Path] = None,
         progress: Optional[ProgressFn] = None,
         runner: Optional[GridRunner] = None) -> Fig6Result:
@@ -94,7 +78,7 @@ def run(scale: str = "small",
     benches = benchmarks if benchmarks is not None else ["ocean", "mg"]
     names = systems if systems is not None else list(SYSTEM_CONFIGS)
     runner = make_runner(jobs=jobs, resume=resume, progress=progress,
-                         runner=runner, batch=batch)
+                         runner=runner)
     values = runner.run(grid(scale, benches, names, seed))
     curves = [Fig6Curve(system=system, benchmark=bench,
                         series=LifetimeSeries.from_payload(

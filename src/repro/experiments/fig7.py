@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..sim.batched import register_batchable
-from ..sim.fast import FastEngine
-from ..sim.metrics import LifetimeSeries, LifetimeSummary
+from ..sim.metrics import LifetimeSeries
 from .common import build_engine, scaled_parameters
 from .parallel import Cell, GridRunner, ProgressFn, cell_seed, make_runner
 from .report import format_series
@@ -52,34 +50,21 @@ class Fig7Result:
     floor: float = 0.6
 
 
-def _build_cell(scale: str, benchmark: str, reserve: Optional[float],
-                seed: int) -> FastEngine:
-    """Assemble one cell's engine (shared by both execution paths)."""
-    params = scaled_parameters(scale)
-    if reserve is None:
-        return build_engine(params, benchmark, recovery="reviver",
-                            dead_fraction=0.45, seed=seed,
-                            label=f"{benchmark}/WL-Reviver")
-    return build_engine(params, benchmark, recovery="freep",
-                        freep_reserve=reserve, dead_fraction=0.45,
-                        seed=seed,
-                        label=f"{benchmark}/FREEp-{reserve:.0%}")
-
-
-def _finish_cell(engine: FastEngine, summary: LifetimeSummary,
-                 context: object) -> dict:
-    """Summarize one completed cell (shared by both execution paths)."""
-    return {"series": engine.series.to_payload()}
-
-
 def _cell(scale: str, benchmark: str, reserve: Optional[float],
           seed: int) -> dict:
     """One grid cell: a single engine run (executes in a worker)."""
-    engine = _build_cell(scale, benchmark, reserve, seed)
-    return _finish_cell(engine, engine.run(), None)
-
-
-register_batchable(f"{__name__}:_cell", _build_cell, _finish_cell)
+    params = scaled_parameters(scale)
+    if reserve is None:
+        engine = build_engine(params, benchmark, recovery="reviver",
+                              dead_fraction=0.45, seed=seed,
+                              label=f"{benchmark}/WL-Reviver")
+    else:
+        engine = build_engine(params, benchmark, recovery="freep",
+                              freep_reserve=reserve, dead_fraction=0.45,
+                              seed=seed,
+                              label=f"{benchmark}/FREEp-{reserve:.0%}")
+    engine.run()
+    return {"series": engine.series.to_payload()}
 
 
 def _key(scale: str, benchmark: str, reserve: Optional[float]) -> str:
@@ -104,7 +89,7 @@ def grid(scale: str, benchmarks: List[str], reserves: List[float],
 def run(scale: str = "small",
         benchmarks: Optional[List[str]] = None,
         reserves: Optional[List[float]] = None,
-        seed: int = 1, jobs: int = 1, batch: int = 1,
+        seed: int = 1, jobs: int = 1,
         resume: Union[None, str, Path] = None,
         progress: Optional[ProgressFn] = None,
         runner: Optional[GridRunner] = None) -> Fig7Result:
@@ -112,7 +97,7 @@ def run(scale: str = "small",
     benches = benchmarks if benchmarks is not None else ["ocean", "mg"]
     sweep = reserves if reserves is not None else list(RESERVES)
     runner = make_runner(jobs=jobs, resume=resume, progress=progress,
-                         runner=runner, batch=batch)
+                         runner=runner)
     values = runner.run(grid(scale, benches, sweep, seed))
     curves = []
     for bench in benches:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..sim.batched import register_batchable
 from ..sim.fast import FastEngine
-from ..sim.metrics import LifetimeSeries, LifetimeSummary
+from ..sim.metrics import LifetimeSeries
 from .common import build_engine, build_lls_engine, scaled_parameters
 from .parallel import Cell, GridRunner, ProgressFn, cell_seed, jsonify, make_runner
 from .report import format_series
@@ -44,47 +43,24 @@ class Fig8Result:
     scale: str
 
 
-def _build_cell(scale: str, benchmark: str, system: str,
-                seed: int) -> Optional[FastEngine]:
-    """Assemble one cell's engine; LLS declines batching (``None``).
-
-    ``LLSFastEngine`` rebuilds its wear-leveler and page pool mid-run,
-    which the lockstep kernel's re-homed views cannot follow; those cells
-    keep the per-cell path.
-    """
-    params = scaled_parameters(scale)
-    if system == "WL-Reviver":
-        return build_engine(params, benchmark, recovery="reviver",
-                            dead_fraction=0.4, seed=seed,
-                            label=f"{benchmark}/WL-Reviver")
-    if system == "LLS":
-        return None
-    return build_engine(params, benchmark, recovery="none",
-                        dead_fraction=0.4, seed=seed,
-                        label=f"{benchmark}/ECP6-SG")
-
-
-def _finish_cell(engine: FastEngine,
-                 summary: Optional[LifetimeSummary],
-                 context: object) -> dict:
-    """Summarize one completed cell (shared by both execution paths)."""
-    return {"series": engine.series.to_payload(),
-            "stats": jsonify(engine.stats())}
-
-
 def _cell(scale: str, benchmark: str, system: str, seed: int) -> dict:
     """One grid cell: a single engine run (executes in a worker)."""
-    if system == "LLS":
-        params = scaled_parameters(scale)
+    params = scaled_parameters(scale)
+    engine: FastEngine
+    if system == "WL-Reviver":
+        engine = build_engine(params, benchmark, recovery="reviver",
+                              dead_fraction=0.4, seed=seed,
+                              label=f"{benchmark}/WL-Reviver")
+    elif system == "LLS":
         engine = build_lls_engine(params, benchmark, dead_fraction=0.4,
                                   seed=seed, label=f"{benchmark}/LLS")
-        engine.run()
-        return _finish_cell(engine, None, None)
-    engine = _build_cell(scale, benchmark, system, seed)
-    return _finish_cell(engine, engine.run(), None)
-
-
-register_batchable(f"{__name__}:_cell", _build_cell, _finish_cell)
+    else:
+        engine = build_engine(params, benchmark, recovery="none",
+                              dead_fraction=0.4, seed=seed,
+                              label=f"{benchmark}/ECP6-SG")
+    engine.run()
+    return {"series": engine.series.to_payload(),
+            "stats": jsonify(engine.stats())}
 
 
 def grid(scale: str, benchmarks: List[str], systems: List[str],
@@ -104,7 +80,7 @@ def grid(scale: str, benchmarks: List[str], systems: List[str],
 def run(scale: str = "small",
         benchmarks: Optional[List[str]] = None,
         include_baseline: bool = True,
-        seed: int = 1, jobs: int = 1, batch: int = 1,
+        seed: int = 1, jobs: int = 1,
         resume: Union[None, str, Path] = None,
         progress: Optional[ProgressFn] = None,
         runner: Optional[GridRunner] = None) -> Fig8Result:
@@ -112,7 +88,7 @@ def run(scale: str = "small",
     benches = benchmarks if benchmarks is not None else ["ocean", "mg"]
     systems = list(SYSTEMS) if include_baseline else list(SYSTEMS[:2])
     runner = make_runner(jobs=jobs, resume=resume, progress=progress,
-                         runner=runner, batch=batch)
+                         runner=runner)
     values = runner.run(grid(scale, benches, systems, seed))
     curves = []
     for bench in benches:

@@ -163,7 +163,7 @@ def grid(scale: str, workloads: List[str], policies: List[str],
 def run(scale: str = "small",
         benchmarks: Optional[List[str]] = None,
         policies: Optional[List[str]] = None,
-        seed: int = 1, jobs: int = 1, batch: int = 1,
+        seed: int = 1, jobs: int = 1,
         resume: Union[None, str, Path] = None,
         progress: Optional[ProgressFn] = None,
         runner: Optional[GridRunner] = None) -> FigWAResult:
@@ -177,7 +177,7 @@ def run(scale: str = "small",
         else list(WA_WORKLOADS)
     sweep = list(policies) if policies is not None else list(GC_POLICIES)
     runner = make_runner(jobs=jobs, resume=resume, progress=progress,
-                         runner=runner, batch=batch)
+                         runner=runner)
     values = runner.run(grid(scale, workloads, sweep, seed))
     rows = []
     for workload in workloads:

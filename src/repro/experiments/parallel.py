@@ -41,7 +41,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike, derive_rng, spawn_seed
-from ..sim.batched import is_batchable, run_cell_batch
 from ..telemetry.timing import timed_call
 from .shm import pack_result, unpack_result
 
@@ -123,29 +122,9 @@ def _execute_timed(fn: str,
     return value, timing.wall, timing.cpu
 
 
-def _execute_group(fn: str,
-                   items: List[Tuple[str, Dict[str, Any]]]) -> Any:
-    """Run a batchable same-function cell group through the SoA kernel."""
-    return jsonify(run_cell_batch(fn, items))
-
-
-def _execute_group_timed(fn: str, items: List[Tuple[str, Dict[str, Any]]]
-                         ) -> Tuple[Any, float, float]:
-    """Timed group execution: ``([(key, value), ...], wall, cpu)``."""
-    value, timing = timed_call(_execute_group, fn, items)
-    return value, timing.wall, timing.cpu
-
-
 def _pool_cell(fn: str, kwargs: Dict[str, Any]) -> Tuple[Any, float, float]:
     """Worker entry for one pooled cell; result rides shared memory."""
     value, wall, cpu = _execute_timed(fn, kwargs)
-    return pack_result(value), wall, cpu
-
-
-def _pool_group(fn: str, items: List[Tuple[str, Dict[str, Any]]]
-                ) -> Tuple[Any, float, float]:
-    """Worker entry for one pooled cell group; result rides shared memory."""
-    value, wall, cpu = _execute_group_timed(fn, items)
     return pack_result(value), wall, cpu
 
 
@@ -160,17 +139,10 @@ class GridRunner:
     def __init__(self, jobs: int = 1,
                  resume: Union[None, str, Path] = None,
                  progress: Optional[ProgressFn] = None,
-                 telem: Optional["TelemetrySession"] = None,
-                 batch: int = 1) -> None:
+                 telem: Optional["TelemetrySession"] = None) -> None:
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
-        if batch < 1:
-            raise ConfigurationError("batch must be >= 1")
         self.jobs = jobs
-        #: Cells per struct-of-arrays group: same-function cells registered
-        #: with :mod:`repro.sim.batched` run ``batch`` at a time in one
-        #: lockstep kernel.  1 (the default) keeps the per-cell path.
-        self.batch = batch
         self.resume = Path(resume) if resume is not None else None
         self.progress = progress
         #: Optional session accumulating grid metrics (cell wall/CPU/queue
@@ -204,12 +176,10 @@ class GridRunner:
                 pending.append(cell)
         if pending:
             try:
-                groups, singles = self._plan(pending)
                 if self.jobs > 1 and len(pending) > 1:
-                    self._run_pool(groups, singles, results, completed,
-                                   len(cells))
+                    self._run_pool(pending, results, completed, len(cells))
                 else:
-                    self._run_serial(groups, singles, results, completed,
+                    self._run_serial(pending, results, completed,
                                      len(cells))
             finally:
                 # Throttled saves leave a tail of unsaved cells when a run
@@ -217,81 +187,37 @@ class GridRunner:
                 self._flush_resume(completed)
         return results
 
-    def _plan(self, pending: List[Cell]
-              ) -> Tuple[List[List[Cell]], List[Cell]]:
-        """Split pending cells into batchable groups and per-cell work.
-
-        Same-function cells with a registered batchable spec are chunked
-        ``self.batch`` at a time (a chunk of one is just a single);
-        everything else keeps the per-cell path, in input order.
-        """
-        if self.batch <= 1:
-            return [], list(pending)
-        groups: List[List[Cell]] = []
-        singles: List[Cell] = []
-        by_fn: Dict[str, List[Cell]] = {}
-        batchable: Dict[str, bool] = {}
+    def _run_serial(self, pending: List[Cell], results: Dict[str, Any],
+                    completed: Dict[str, dict], total: int) -> None:
         for cell in pending:
-            if cell.fn not in batchable:
-                batchable[cell.fn] = is_batchable(cell.fn)
-            if batchable[cell.fn]:
-                by_fn.setdefault(cell.fn, []).append(cell)
-            else:
-                singles.append(cell)
-        for cells in by_fn.values():
-            for i in range(0, len(cells), self.batch):
-                chunk = cells[i:i + self.batch]
-                if len(chunk) == 1:
-                    singles.append(chunk[0])
-                else:
-                    groups.append(chunk)
-        return groups, singles
-
-    def _run_serial(self, groups: List[List[Cell]], singles: List[Cell],
-                    results: Dict[str, Any], completed: Dict[str, dict],
-                    total: int) -> None:
-        for group in groups:
-            outputs, wall, cpu = _execute_group_timed(
-                group[0].fn, [(cell.key, cell.kwargs) for cell in group])
-            self._record_group(group, outputs, wall, cpu, 0.0,
-                               results, completed, total)
-        for cell in singles:
             value, wall, cpu = _execute_timed(cell.fn, cell.kwargs)
             self._record(cell.key, value, wall, cpu, 0.0,
                          results, completed, total)
 
-    def _run_pool(self, groups: List[List[Cell]], singles: List[Cell],
-                  results: Dict[str, Any], completed: Dict[str, dict],
-                  total: int) -> None:
-        work: List[Tuple[str, Any]] = ([("group", group) for group in groups]
-                                       + [("cell", cell) for cell in singles])
-        workers = min(self.jobs, len(work))
+    def _run_pool(self, pending: List[Cell], results: Dict[str, Any],
+                  completed: Dict[str, dict], total: int) -> None:
+        workers = min(self.jobs, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: Dict[Any, Tuple[Tuple[str, Any], float]] = {}
+            futures: Dict[Any, Tuple[Cell, float]] = {}
             cursor = 0
 
             def submit_next() -> None:
                 nonlocal cursor
-                if cursor >= len(work):
+                if cursor >= len(pending):
                     return
-                kind, item = work[cursor]
+                cell = pending[cursor]
                 cursor += 1
-                if kind == "group":
-                    future = pool.submit(
-                        _pool_group, item[0].fn,
-                        [(cell.key, cell.kwargs) for cell in item])
-                else:
-                    future = pool.submit(_pool_cell, item.fn, item.kwargs)
+                future = pool.submit(_pool_cell, cell.fn, cell.kwargs)
                 # Per-future submit time: queue wait must measure *this*
                 # future's time-to-completion, not the whole grid's.
-                futures[future] = ((kind, item), time.perf_counter())  # repro: allow(DET-WALLCLOCK): queue-wait profile, excluded from --check diffs
+                futures[future] = (cell, time.perf_counter())  # repro: allow(DET-WALLCLOCK): queue-wait profile, excluded from --check diffs
 
             for _ in range(workers):
                 submit_next()
             while futures:
                 done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
                 for future in done:
-                    (kind, item), submitted = futures.pop(future)
+                    cell, submitted = futures.pop(future)
                     packed, wall, cpu = future.result()
                     value = unpack_result(packed)
                     # The worker measured the in-cell wall time; whatever
@@ -300,32 +226,9 @@ class GridRunner:
                     # draining).
                     queue = max(0.0,
                                 time.perf_counter() - submitted - wall)  # repro: allow(DET-WALLCLOCK): queue-wait profile, excluded from --check diffs
-                    if kind == "group":
-                        self._record_group(item, value, wall, cpu, queue,
-                                           results, completed, total)
-                    else:
-                        self._record(item.key, value, wall, cpu, queue,
-                                     results, completed, total)
+                    self._record(cell.key, value, wall, cpu, queue,
+                                 results, completed, total)
                     submit_next()
-
-    def _record_group(self, cells: List[Cell], outputs: Any, wall: float,
-                      cpu: float, queue: float, results: Dict[str, Any],
-                      completed: Dict[str, dict], total: int) -> None:
-        """Record a batched group's results, splitting timing evenly.
-
-        One kernel ran the whole group, so per-cell wall/CPU/queue are the
-        group totals divided evenly — the grid totals stay truthful.
-        """
-        got = {key: value for key, value in outputs}
-        missing = [cell.key for cell in cells if cell.key not in got]
-        if missing:
-            raise ConfigurationError(
-                f"batched group dropped cells {missing[:3]}")
-        share = 1.0 / len(cells)
-        for cell in cells:
-            self._record(cell.key, got[cell.key], wall * share,
-                         cpu * share, queue * share,
-                         results, completed, total)
 
     def _record(self, key: str, value: Any, seconds: float, cpu: float,
                 queue: float, results: Dict[str, Any],
@@ -423,8 +326,7 @@ class GridRunner:
 
 def make_runner(jobs: int = 1, resume: Union[None, str, Path] = None,
                 progress: Optional[ProgressFn] = None,
-                runner: Optional[GridRunner] = None,
-                batch: int = 1) -> GridRunner:
+                runner: Optional[GridRunner] = None) -> GridRunner:
     """The runner the experiment modules share: reuse *runner* or build one."""
     return runner if runner is not None else GridRunner(
-        jobs=jobs, resume=resume, progress=progress, batch=batch)
+        jobs=jobs, resume=resume, progress=progress)

@@ -12,16 +12,11 @@ Two engines drive the same component stack at different fidelities:
   processed per batch.  Wear outcomes match the exact engine's shape; an
   agreement test pins the two together on small configurations.
 
-:class:`~repro.sim.batched.BatchedEngine` advances N fresh fast engines
-in lockstep with struct-of-arrays state (campaigns, batched grids); its
-results are byte-identical to N separate ``FastEngine.run()`` calls.
-
 :mod:`~repro.sim.metrics` defines the collectors both engines feed
 (survival-rate and usable-space series, lifetime summaries).
 """
 
 from .metrics import LifetimeSeries, LifetimeSummary, SamplePoint
-from .batched import BatchedEngine, register_batchable
 from .engine import ExactEngine
 from .fast import FastEngine, FastConfig
 from .stop import EndOfLifeReport, StopCause, StopReason
@@ -29,7 +24,6 @@ from .wearstats import WearReport, endurance_utilization, gini, wear_cov
 
 __all__ = [
     "LifetimeSeries", "LifetimeSummary", "SamplePoint",
-    "BatchedEngine", "register_batchable",
     "ExactEngine", "FastEngine", "FastConfig",
     "EndOfLifeReport", "StopCause", "StopReason",
     "WearReport", "endurance_utilization", "gini", "wear_cov",

@@ -4,14 +4,12 @@ The reproduction's statistical results come from campaigns of independent
 seeded lifetimes.  This module defines the canonical campaign cell — one
 WL-Reviver chip stack per seed, all derived seed streams rooted at the
 cell seed — and runs N of them through :class:`~repro.experiments.parallel.
-GridRunner`, where the batchable registration lets ``--batch`` fold whole
-seed groups into one struct-of-arrays kernel
-(:mod:`repro.sim.batched`).
+GridRunner`.
 
-``python -m repro.sim.campaign --seeds 100 --jobs 2 --batch 25`` runs the
-standard 100-seed campaign; ``--check`` re-runs it through the per-cell
-path and fails on any byte difference, which is the equivalence gate the
-CI ``batched-smoke`` job drives.
+``python -m repro.sim.campaign --seeds 100 --jobs 2`` runs the standard
+100-seed campaign; ``--check`` re-runs it serially (``jobs=1``) and fails
+on any byte difference, which is the pooled-versus-serial gate the CI
+``campaign-smoke`` job drives.
 """
 
 from __future__ import annotations
@@ -20,8 +18,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 from ..config import StartGapConfig
 from ..ecc import ECP
@@ -31,8 +28,6 @@ from ..telemetry import TelemetrySession, attach_fast, merge_snapshots
 from ..traces.synthetic import hotspot_distribution
 from ..wl import StartGap
 from .fast import FastConfig, FastEngine
-from .batched import register_batchable
-from .metrics import LifetimeSummary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.parallel import Cell
@@ -53,24 +48,24 @@ DEFAULTS: Dict[str, Any] = {
 }
 
 
-def build_campaign_cell(seed: int,
-                        num_blocks: int = 1024,
-                        mean_endurance: float = 2000.0,
-                        endurance_cov: float = 0.25,
-                        max_order: int = 16,
-                        ecp_k: int = 6,
-                        psi: int = 4,
-                        batch_writes: int = 8000,
-                        recovery: str = "reviver",
-                        dead_fraction: float = 0.3,
-                        trace_cov: float = 3.0,
-                        telemetry: bool = True,
-                        ) -> Tuple[FastEngine, Optional[TelemetrySession]]:
-    """Assemble one campaign cell's engine (and telemetry session).
+def campaign_cell(seed: int,
+                  num_blocks: int = 1024,
+                  mean_endurance: float = 2000.0,
+                  endurance_cov: float = 0.25,
+                  max_order: int = 16,
+                  ecp_k: int = 6,
+                  psi: int = 4,
+                  batch_writes: int = 8000,
+                  recovery: str = "reviver",
+                  dead_fraction: float = 0.3,
+                  trace_cov: float = 3.0,
+                  telemetry: bool = True,
+                  ) -> Dict[str, Any]:
+    """Grid cell function: build, run, and summarize one campaign seed.
 
     Every random stream is derived from the cell seed by purpose-named
-    :func:`~repro.rng.derive_rng` children, so the per-cell and batched
-    paths consume identical streams by construction.
+    :func:`~repro.rng.derive_rng` children, so a cell's result depends
+    on its seed alone, never on which process or run order ran it.
     """
     geometry = AddressGeometry(num_blocks=num_blocks)
     endurance = EnduranceModel(
@@ -91,14 +86,9 @@ def build_campaign_cell(seed: int,
     if telemetry:
         session = TelemetrySession()
         attach_fast(session, engine)
-    return engine, session
-
-
-def finish_campaign_cell(engine: FastEngine, summary: LifetimeSummary,
-                         session: Optional[TelemetrySession]) -> Dict[str, Any]:
-    """Turn a completed campaign engine into the cell's JSON payload."""
-    # Imported lazily: shard.py registers its own batchable cell with this
-    # module's machinery, so a top-level import would be circular.
+    summary = engine.run()
+    # Imported lazily: the ``repro.array`` package loads the array engine,
+    # which a campaign never uses.
     from ..array.shard import deterministic_snapshot
     payload: Dict[str, Any] = {
         "lifetime": summary.lifetime_writes,
@@ -111,16 +101,6 @@ def finish_campaign_cell(engine: FastEngine, summary: LifetimeSummary,
         payload["snapshot"] = deterministic_snapshot(
             session.registry.snapshot())
     return payload
-
-
-def campaign_cell(**kwargs: Any) -> Dict[str, Any]:
-    """Grid cell function: build, run, and summarize one campaign seed."""
-    engine, session = build_campaign_cell(**kwargs)
-    return finish_campaign_cell(engine, engine.run(), session)
-
-
-register_batchable(f"{__name__}:campaign_cell",
-                   build_campaign_cell, finish_campaign_cell)
 
 
 def campaign_grid(seeds: int, seed: int = 0, telemetry: bool = True,
@@ -140,7 +120,7 @@ def campaign_grid(seeds: int, seed: int = 0, telemetry: bool = True,
     return cells
 
 
-def run_campaign(seeds: int, seed: int = 0, jobs: int = 1, batch: int = 1,
+def run_campaign(seeds: int, seed: int = 0, jobs: int = 1,
                  telemetry: bool = True,
                  resume: Union[None, str, Path] = None,
                  progress: Any = None,
@@ -148,8 +128,7 @@ def run_campaign(seeds: int, seed: int = 0, jobs: int = 1, batch: int = 1,
     """Run the campaign; return cells, lifetime stats, merged telemetry."""
     from ..experiments.parallel import GridRunner
     cells = campaign_grid(seeds, seed=seed, telemetry=telemetry, **params)
-    runner = GridRunner(jobs=jobs, resume=resume, progress=progress,
-                        batch=batch)
+    runner = GridRunner(jobs=jobs, resume=resume, progress=progress)
     results = runner.run(cells)
     ordered = [results[cell.key] for cell in cells]
     lifetimes = [record["lifetime"] for record in ordered]
@@ -185,9 +164,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="root experiment seed (default 0)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default 1)")
-    parser.add_argument("--batch", type=int, default=1,
-                        help="cells per struct-of-arrays group (default 1: "
-                             "per-cell engines)")
     parser.add_argument("--blocks", type=int,
                         default=int(DEFAULTS["num_blocks"]),
                         help="device blocks per cell")
@@ -206,8 +182,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--json", type=Path, default=None,
                         help="write the full campaign payload here")
     parser.add_argument("--check", action="store_true",
-                        help="re-run per-cell (batch=1, jobs=1) and fail "
-                             "on any byte difference")
+                        help="re-run serially (jobs=1) and fail on any "
+                             "byte difference from the --jobs run")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the summary line")
     args = parser.parse_args(argv)
@@ -216,25 +192,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   psi=args.psi, recovery=args.recovery)
     telemetry = not args.no_telemetry
     payload = run_campaign(args.seeds, seed=args.seed, jobs=args.jobs,
-                           batch=args.batch, telemetry=telemetry,
-                           resume=args.resume, **params)
+                           telemetry=telemetry, resume=args.resume, **params)
     if args.json is not None:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps(payload, sort_keys=True, indent=2))
     if not args.quiet:
-        print(f"campaign: {args.seeds} seeds, batch={args.batch}, "
-              f"jobs={args.jobs}, mean lifetime "
+        print(f"campaign: {args.seeds} seeds, jobs={args.jobs}, "
+              f"mean lifetime "
               f"{payload['mean_lifetime']:.1f} writes")
     if args.check:
         reference = run_campaign(args.seeds, seed=args.seed, jobs=1,
-                                 batch=1, telemetry=telemetry, **params)
+                                 telemetry=telemetry, **params)
         if _comparable(payload) != _comparable(reference):
-            print("campaign check FAILED: batched output differs from "
-                  "the per-cell path", file=sys.stderr)
+            print(f"campaign check FAILED: the jobs={args.jobs} output "
+                  "differs from the serial run", file=sys.stderr)
             return 1
         if not args.quiet:
-            print("campaign check passed: batched output is byte-identical "
-                  "to the per-cell path")
+            print(f"campaign check passed: the jobs={args.jobs} output is "
+                  "byte-identical to the serial run")
     return 0
 
 

@@ -11,7 +11,7 @@ that matters for page retirement and for LLS's restricted randomization.
 
 Also provided: Zipf-mixture generators, malicious attack streams (the
 birthday-paradox attack of Seznec that wear-leveling papers must survive),
-a simple trace file format, and CoV estimators.
+a recorded-stream replayer, and CoV estimators.
 """
 
 from .base import WriteTrace, DistributionTrace, RequestStream
@@ -24,7 +24,7 @@ from .synthetic import (
 )
 from .benchmarks import BENCHMARKS, BenchmarkSpec, benchmark_trace, benchmark_names
 from .attacks import birthday_paradox_attack, hammer_attack, sequential_sweep
-from .fileio import FileTrace, write_trace_file, read_trace_file
+from .fileio import FileTrace
 from .stats import write_cov, counts_cov, distribution_cov
 
 __all__ = [
@@ -33,6 +33,6 @@ __all__ = [
     "zipf_request_stream", "solve_hot_fraction",
     "BENCHMARKS", "BenchmarkSpec", "benchmark_trace", "benchmark_names",
     "birthday_paradox_attack", "hammer_attack", "sequential_sweep",
-    "FileTrace", "write_trace_file", "read_trace_file",
+    "FileTrace",
     "write_cov", "counts_cov", "distribution_cov",
 ]

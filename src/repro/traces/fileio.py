@@ -1,59 +1,17 @@
-"""Trace file I/O.
+"""Recorded-stream replay.
 
-A minimal self-describing binary format so traces can be captured once and
-replayed across experiments (and shared, the way the paper's Pin traces
-were used):
-
-* 16-byte header: magic ``b"RPTR"``, version ``u32``, virtual_blocks
-  ``u64``;
-* payload: little-endian ``u64`` virtual block addresses.
-
-:class:`FileTrace` replays a stored stream; when the stream runs out it
-wraps around (the paper runs each program "multiple times to produce the
+:class:`FileTrace` replays a stored address stream (a captured trace, or
+one a workload generator programmed); when the stream runs out it wraps
+around (the paper runs each program "multiple times to produce the
 required wear-out effect").
 """
 
 from __future__ import annotations
 
-import struct
-from pathlib import Path
-from typing import Union
-
 import numpy as np
 
 from ..errors import ConfigurationError
 from .base import WriteTrace
-
-MAGIC = b"RPTR"
-VERSION = 1
-_HEADER = struct.Struct("<4sIQ")
-
-
-def write_trace_file(path: Union[str, Path], addresses: np.ndarray,
-                     virtual_blocks: int) -> None:
-    """Store an address stream in the trace format."""
-    addresses = np.asarray(addresses, dtype=np.uint64)
-    if addresses.size and int(addresses.max()) >= virtual_blocks:
-        raise ConfigurationError("address exceeds the declared virtual space")
-    with open(path, "wb") as handle:
-        handle.write(_HEADER.pack(MAGIC, VERSION, virtual_blocks))
-        handle.write(addresses.astype("<u8").tobytes())
-
-
-def read_trace_file(path: Union[str, Path]) -> "FileTrace":
-    """Load a stored trace for replay."""
-    with open(path, "rb") as handle:
-        header = handle.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise ConfigurationError(f"{path}: truncated trace header")
-        magic, version, virtual_blocks = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise ConfigurationError(f"{path}: not a trace file")
-        if version != VERSION:
-            raise ConfigurationError(f"{path}: unsupported version {version}")
-        payload = np.frombuffer(handle.read(), dtype="<u8")
-    return FileTrace(payload.astype(np.int64), int(virtual_blocks),
-                     name=Path(path).stem)
 
 
 class FileTrace(WriteTrace):
@@ -65,6 +23,10 @@ class FileTrace(WriteTrace):
         if len(addresses) == 0:
             raise ConfigurationError("empty trace")
         self.addresses = np.asarray(addresses, dtype=np.int64)
+        if self.addresses.min() < 0 \
+                or self.addresses.max() >= virtual_blocks:
+            raise ConfigurationError(
+                "address outside the declared virtual space")
         self._cursor = 0
 
     def next_write(self) -> int:

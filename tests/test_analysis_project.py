@@ -1,7 +1,7 @@
 """Project model and dataflow engine: the whole-program substrate.
 
 The four cross-module rules are only as good as the facts below: module
-naming, import edges, the register_batchable call index, ``is None``
+naming, import edges, the call-site index, ``is None``
 refinement, try/finally exit capture, and the numpy view-ness domain.
 Each is pinned here in isolation so a rule regression can be bisected to
 either the rule or the substrate.
@@ -50,17 +50,17 @@ class TestProjectModel:
 
     def test_from_import_of_package_reaches_children(self):
         project = project_of(
-            ("src/repro/user.py", "from repro.sim import batched\n"),
-            ("src/repro/sim/batched.py", "x = 1\n"))
+            ("src/repro/user.py", "from repro.sim import campaign\n"),
+            ("src/repro/sim/campaign.py", "x = 1\n"))
         assert project.import_graph()["repro.user"] \
-            == {"repro.sim.batched"}
+            == {"repro.sim.campaign"}
 
     def test_relative_imports_resolve(self):
         project = project_of(
-            ("src/repro/sim/fast.py", "from .batched import run_batched\n"),
-            ("src/repro/sim/batched.py", "x = 1\n"))
+            ("src/repro/sim/fast.py", "from .campaign import run_campaign\n"),
+            ("src/repro/sim/campaign.py", "x = 1\n"))
         assert project.import_graph()["repro.sim.fast"] \
-            == {"repro.sim.batched"}
+            == {"repro.sim.campaign"}
 
     def test_functions_carry_qualnames_and_params(self):
         project = project_of(("src/repro/m.py", (
@@ -79,20 +79,10 @@ class TestProjectModel:
 
     def test_call_index_spans_modules(self):
         project = project_of(
-            ("src/repro/a.py", "register_batchable('a:_c', build, fin)\n"),
-            ("src/repro/b.py", "sim.register_batchable('b:_c', mk, done)\n"))
-        sites = project.calls_of("register_batchable")
+            ("src/repro/a.py", "attach_fast(session, engine)\n"),
+            ("src/repro/b.py", "telemetry.attach_fast(session, eng)\n"))
+        sites = project.calls_of("attach_fast")
         assert {site.module for site in sites} == {"repro.a", "repro.b"}
-
-    def test_batchable_pairs_positional_and_keyword(self):
-        project = project_of(
-            ("src/repro/a.py",
-             "register_batchable('a:_cell', _build_cell, _finish_cell)\n"),
-            ("src/repro/b.py",
-             "register_batchable('b:_cell', build=_mk, finish=_done)\n"))
-        assert project.batchable_pairs() == {
-            ("repro.a", "_build_cell"), ("repro.a", "_finish_cell"),
-            ("repro.b", "_mk"), ("repro.b", "_done")}
 
 
 def run_flow(flow, text, initial=None):

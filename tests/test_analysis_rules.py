@@ -273,7 +273,7 @@ class TestTelemApi:
                             Path("src/repro/array/shard.py")) == []
 
 class TestSoaAlias:
-    """The whole-program view-aliasing rule over the batched kernel."""
+    """The view-aliasing rule over shared device arrays."""
 
     def test_chained_advanced_index_store_is_caught(self):
         bad = ("import numpy as np\n"
@@ -318,17 +318,17 @@ class TestSoaAlias:
         assert findings_for("SOA-ALIAS", good) == []
 
     def test_verbatim_rehome_aliasing_stays_clean(self):
-        # sim/batched.py's _rehome: storing a row view into an attribute
-        # IS the aliasing invariant, not a violation.
+        # Re-homing an owner's array onto a row view: storing the view
+        # into an attribute IS the aliasing invariant, not a violation.
         good = ("def rehome(self, i: int, chip) -> None:\n"
                 "    self.wear[i] = chip.wear\n"
                 "    chip.wear = self.wear[i]\n")
         assert findings_for("SOA-ALIAS", good) == []
 
     def test_verbatim_migration_mask_rebind_stays_clean(self):
-        # sim/batched.py's migration phase: `dsts` is a fresh index
-        # array (advanced indexing), so narrowing it in place is legal;
-        # the actual wear write goes through np.add.at on the row view.
+        # A migration phase: `dsts` is a fresh index array (advanced
+        # indexing), so narrowing it in place is legal; the actual wear
+        # write goes through np.add.at on the row view.
         good = ("import numpy as np\n"
                 "def migrate(self, engine, rows, i: int) -> None:\n"
                 "    dsts = engine._redirect[rows[:, 1]]\n"
@@ -352,30 +352,6 @@ class TestSoaAlias:
                 "    wear[0] = 5\n"
                 "    return wear\n")
         assert findings_for("SOA-ALIAS", good) == []
-
-    def test_registered_batchable_pair_is_exempt(self):
-        # The project model reads register_batchable() call sites: a
-        # build/finish pair owns its arrays before/after the kernel holds
-        # them, so the rebind check stands down (single-file fallback
-        # still sees the registration in the same module).
-        text = ("import numpy as np\n"
-                "def _build_cell(spec, wear: np.ndarray):\n"
-                "    wear = wear + 1\n"
-                "    wear[0] = 5\n"
-                "    return wear\n"
-                "def _finish_cell(value):\n"
-                "    return value\n"
-                "register_batchable('mod:_cell', _build_cell,"
-                " _finish_cell)\n")
-        assert findings_for("SOA-ALIAS", text) == []
-        # Without the registration the same body is a finding.
-        unregistered = ("import numpy as np\n"
-                        "def _build_cell(spec, wear: np.ndarray):\n"
-                        "    wear = wear + 1\n"
-                        "    wear[0] = 5\n"
-                        "    return wear\n")
-        assert [f.rule for f in findings_for("SOA-ALIAS", unregistered)] \
-            == ["SOA-ALIAS"]
 
 
 class TestShmLife:

@@ -165,7 +165,7 @@ class TestPoolQueueAccounting:
                  for i in range(8)]
         runner = GridRunner(jobs=1)
         results = {}
-        runner._run_pool([], cells, results, {}, len(cells))
+        runner._run_pool(cells, results, {}, len(cells))
         assert len(results) == 8
         wall = sum(o.seconds for o in runner.outcomes)
         queue = sum(o.queue_seconds for o in runner.outcomes)
@@ -257,26 +257,3 @@ class TestSharedMemoryTransport:
         serial = GridRunner(jobs=1).run(cells)
         pooled = GridRunner(jobs=2).run(cells)
         assert serial == pooled
-
-
-class TestBatchPlanning:
-    def test_plan_groups_only_batchable_cells(self):
-        campaign = [Cell(key=f"camp/{i}",
-                         fn="repro.sim.campaign:campaign_cell",
-                         kwargs={"seed": i}) for i in range(5)]
-        other = _grid(3)
-        groups, singles = GridRunner(batch=2)._plan(campaign + other)
-        assert [[c.key for c in g] for g in groups] == [
-            ["camp/0", "camp/1"], ["camp/2", "camp/3"]]
-        # The leftover chunk of one and the unregistered cells stay single.
-        assert {c.key for c in singles} == {
-            "camp/4", "unit/0", "unit/1", "unit/2"}
-
-    def test_batch_one_keeps_per_cell_path(self):
-        pending = _grid(4)
-        groups, singles = GridRunner(batch=1)._plan(pending)
-        assert groups == [] and singles == pending
-
-    def test_rejects_bad_batch(self):
-        with pytest.raises(ConfigurationError):
-            GridRunner(batch=0)

@@ -9,6 +9,7 @@ from repro.errors import ConfigurationError
 from repro.traces import (
     BENCHMARKS,
     DistributionTrace,
+    FileTrace,
     RequestStream,
     benchmark_names,
     benchmark_trace,
@@ -18,10 +19,8 @@ from repro.traces import (
     hammer_attack,
     hotspot_distribution,
     lognormal_distribution,
-    read_trace_file,
     sequential_sweep,
     write_cov,
-    write_trace_file,
     zipf_distribution,
     zipf_request_stream,
 )
@@ -284,33 +283,30 @@ class TestAttacks:
 
 
 class TestFileIO:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "trace.rptr"
+    def test_replays_in_order(self):
         addresses = np.array([3, 1, 4, 1, 5, 9, 2, 6])
-        write_trace_file(path, addresses, virtual_blocks=16)
-        trace = read_trace_file(path)
+        trace = FileTrace(addresses, virtual_blocks=16)
         assert trace.virtual_blocks == 16
         assert [trace.next_write() for _ in range(8)] == addresses.tolist()
 
-    def test_wraps_around(self, tmp_path):
-        path = tmp_path / "trace.rptr"
-        write_trace_file(path, np.array([1, 2]), virtual_blocks=4)
-        trace = read_trace_file(path)
+    def test_wraps_around(self):
+        trace = FileTrace(np.array([1, 2]), virtual_blocks=4)
         assert [trace.next_write() for _ in range(5)] == [1, 2, 1, 2, 1]
 
-    def test_batch_counts_match_stream(self, tmp_path):
-        path = tmp_path / "trace.rptr"
-        write_trace_file(path, np.array([0, 0, 1, 3]), virtual_blocks=4)
-        trace = read_trace_file(path)
+    def test_batch_counts_match_stream(self):
+        trace = FileTrace(np.array([0, 0, 1, 3]), virtual_blocks=4)
         counts = trace.batch_counts(8)
         assert counts.tolist() == [4, 2, 0, 2]
 
-    def test_rejects_out_of_range_addresses(self, tmp_path):
+    def test_rejects_out_of_range_addresses(self):
         with pytest.raises(ConfigurationError):
-            write_trace_file(tmp_path / "t", np.array([99]), virtual_blocks=4)
+            FileTrace(np.array([99]), virtual_blocks=4)
+        with pytest.raises(ConfigurationError):
+            FileTrace(np.array([-1]), virtual_blocks=4)
 
-    def test_rejects_corrupt_file(self, tmp_path):
-        path = tmp_path / "junk"
-        path.write_bytes(b"NOPE" + b"\x00" * 12)
-        with pytest.raises(ConfigurationError):
-            read_trace_file(path)
+    def test_restricted_to_folds_addresses(self):
+        trace = FileTrace(np.array([0, 5, 7, 2]), virtual_blocks=8)
+        folded = trace.restricted_to(4)
+        assert folded.virtual_blocks == 4
+        assert [folded.next_write() for _ in range(4)] == [0, 1, 3, 2]
+        assert trace.restricted_to(8) is trace
