@@ -10,12 +10,12 @@ types carry that accounting through the controllers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one software-issued request."""
+class AccessResult(NamedTuple):
+    """Outcome of one software-issued request (immutable; a tuple, so
+    the controllers build one per request cheaply)."""
 
     #: Virtual block address the software used.
     vblock: int

@@ -215,9 +215,10 @@ class BaseController(abc.ABC):
             # The write supersedes a parked migration datum for this PA.
             del self._parked[pa]
         self.ospool.record_write(pa)
-        result = AccessResult(vblock=vblock, pa=pa, da=final,
-                              pcm_accesses=accesses, redirected=redirected_any,
-                              faults_handled=faults, victimized=victimized)
+        # AccessResult fields, in order: vblock, pa, da, pcm_accesses,
+        # tag, redirected, faults_handled, victimized.
+        result = AccessResult(vblock, pa, final, accesses, None,
+                              redirected_any, faults, victimized)
         self.stats.record(result, is_write=True)
         self._run_wear_leveling(pa=pa)
         return result
@@ -227,21 +228,16 @@ class BaseController(abc.ABC):
         pa = self.ospool.translate(vblock)
         if pa in self._parked:
             # Store-buffer hit: the datum is in flight, no PCM access needed.
-            result = AccessResult(vblock=vblock, pa=pa, da=-1, pcm_accesses=0,
-                                  tag=self._parked[pa])
-            self.stats.record(result, is_write=False)
-            return result
-        da = self.wl.map(pa)
-        final, cost, redirected = self._resolve_counted(da)
-        if final is None:
-            # Baseline configs: reading a dead block returns garbage.
-            result = AccessResult(vblock=vblock, pa=pa, da=da,
-                                  pcm_accesses=cost, tag=None,
-                                  redirected=redirected)
+            result = AccessResult(vblock, pa, -1, 0, self._parked[pa])
         else:
-            result = AccessResult(vblock=vblock, pa=pa, da=final,
-                                  pcm_accesses=cost, tag=self._read_block(final),
-                                  redirected=redirected)
+            da = self.wl.map(pa)
+            final, cost, redirected = self._resolve_counted(da)
+            if final is None:
+                # Baseline configs: reading a dead block returns garbage.
+                result = AccessResult(vblock, pa, da, cost, None, redirected)
+            else:
+                result = AccessResult(vblock, pa, final, cost,
+                                      self._read_block(final), redirected)
         self.stats.record(result, is_write=False)
         return result
 

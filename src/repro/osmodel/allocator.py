@@ -68,8 +68,10 @@ class PagePool:
             PageInfo(page_id=i,
                      virtual_pages=[i] if i < self.num_virtual_pages else [])
             for i in range(self.num_pages)]
-        #: virtual page -> physical page (identity at boot).
+        #: virtual page -> physical page (identity at boot), and its list
+        #: mirror for scalar :meth:`translate` (updated together).
         self._virt_to_phys = np.arange(self.num_virtual_pages, dtype=np.int64)
+        self._virt_to_phys_list: List[int] = list(range(self.num_virtual_pages))
         self._usable_count = self.num_pages
         #: physical pages still usable, as a sorted-ish list for sampling.
         self._usable_list: List[int] = list(range(self.num_pages))
@@ -90,12 +92,13 @@ class PagePool:
 
     def translate(self, virtual_block: int) -> int:
         """Map a virtual block address to a PA."""
-        vpage, offset = divmod(virtual_block, self.blocks_per_page)
+        blocks_per_page = self.blocks_per_page
+        vpage = virtual_block // blocks_per_page
         if not 0 <= vpage < self.num_virtual_pages:
             raise AddressError(f"virtual block {virtual_block} out of range")
         return (self.base_pa
-                + int(self._virt_to_phys[vpage]) * self.blocks_per_page
-                + offset)
+                + self._virt_to_phys_list[vpage] * blocks_per_page
+                + virtual_block % blocks_per_page)
 
     def translate_many(self, virtual_blocks: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`translate`."""
@@ -181,10 +184,7 @@ class PagePool:
                 new_phys = self._sample_usable()
             # When no free frame is left the OS consolidates: the target
             # frame is shared and its resident data gets overwritten.
-            shared = bool(self.pages[new_phys].virtual_pages)
-            self._virt_to_phys[vpage] = new_phys
-            self.pages[new_phys].virtual_pages.append(vpage)
-            self.last_moves.append((vpage, page_id, new_phys, shared))
+            self._rehome(vpage, page_id, new_phys)
         info.virtual_pages = []
         base = self.base_pa + page_id * self.blocks_per_page
         return list(range(base, base + self.blocks_per_page))
@@ -213,12 +213,17 @@ class PagePool:
                     new_phys = self._sample_usable()
                 if new_phys == page_id:
                     continue  # nowhere else to go
-            shared = bool(self.pages[new_phys].virtual_pages)
             info.virtual_pages.remove(vpage)
-            self._virt_to_phys[vpage] = new_phys
-            self.pages[new_phys].virtual_pages.append(vpage)
-            self.last_moves.append((vpage, page_id, new_phys, shared))
+            self._rehome(vpage, page_id, new_phys)
         return self.last_moves
+
+    def _rehome(self, vpage: int, old_phys: int, new_phys: int) -> None:
+        """Map *vpage* onto *new_phys* and record the move."""
+        shared = bool(self.pages[new_phys].virtual_pages)
+        self._virt_to_phys[vpage] = new_phys
+        self._virt_to_phys_list[vpage] = new_phys
+        self.pages[new_phys].virtual_pages.append(vpage)
+        self.last_moves.append((vpage, old_phys, new_phys, shared))
 
     def _remove_usable(self, page_id: int) -> None:
         pos = self._usable_pos.pop(page_id)

@@ -51,6 +51,11 @@ class PCMChip:
             self.contents = np.full(n, EMPTY_TAG, dtype=np.int64)
         #: Total physical writes applied to the device (including migrations).
         self.total_device_writes = 0
+        #: Blocks this chip has marked failed through :meth:`write` or
+        #: :meth:`write_many`: a cheap "has anything failed since" check
+        #: for per-write loops.  Code that sets :attr:`failed` directly
+        #: bypasses it; :attr:`failed_count` reads the array itself.
+        self.failure_events = 0
         #: Fault-injection hooks; ``None`` (the default) means no injection.
         #: Only :mod:`repro.faultinject` may set this.
         self.inject: Optional["ChipHooks"] = None
@@ -101,11 +106,13 @@ class PCMChip:
         self.geometry.check_block(da)
         if self.failed[da]:
             raise WriteFault(da, f"write to failed block {da}")
-        self.wear[da] += 1
+        wear = self.wear[da] + 1
+        self.wear[da] = wear
         self.total_device_writes += 1
-        while self.wear[da] >= self.ecc.threshold(da):
+        while wear >= self.ecc.threshold(da):
             if not self.ecc.try_extend(da):
                 self.failed[da] = True
+                self.failure_events += 1
                 if self.contents is not None:
                     self.contents[da] = EMPTY_TAG
                 raise WriteFault(da)
@@ -171,6 +178,7 @@ class PCMChip:
             while self.wear[da] >= self.ecc.threshold(da):
                 if not self.ecc.try_extend(da):
                     self.failed[da] = True
+                    self.failure_events += 1
                     if self.contents is not None:
                         self.contents[da] = EMPTY_TAG
                     newly_failed.append(da)

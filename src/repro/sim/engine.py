@@ -68,12 +68,18 @@ class ExactEngine:
         controller = self.controller
         chip = controller.chip
         budget = max_writes if max_writes is not None else float("inf")
+        # The failed fraction only moves when the chip marks a block
+        # failed, so it is re-read only after that count moves (and once
+        # at the start, which sees blocks set failed before the run).
+        failures_seen = -1
         while controller.writes < budget:
             if self.inject is not None:
                 self.inject.poll(controller.writes)
-            if chip.failed_fraction() >= self.dead_fraction:
-                self.stop = StopReason(StopCause.DEAD_FRACTION)
-                break
+            if chip.failure_events != failures_seen:
+                failures_seen = chip.failure_events
+                if chip.failed_fraction() >= self.dead_fraction:
+                    self.stop = StopReason(StopCause.DEAD_FRACTION)
+                    break
             try:
                 self._step()
             except CapacityExhaustedError as exc:

@@ -63,25 +63,26 @@ class DistributionTrace(WriteTrace):
         self.probabilities = probabilities / total
         self._seed = seed
         self._rng = derive_rng(seed, f"trace-{name}")
-        # Buffered single draws so next_write() amortizes generator calls.
-        self._buffer: Optional[np.ndarray] = None
+        # Buffered single draws so next_write() amortizes generator calls;
+        # a list, so each draw is an int with no numpy scalar to convert.
+        self._buffer: List[int] = []
         self._buffer_pos = 0
 
     def next_write(self) -> int:
-        if self._buffer is None or self._buffer_pos >= len(self._buffer):
+        pos = self._buffer_pos
+        if pos == len(self._buffer):
             self._buffer = self._rng.choice(
-                self.virtual_blocks, size=4096, p=self.probabilities)
-            self._buffer_pos = 0
-        value = int(self._buffer[self._buffer_pos])
-        self._buffer_pos += 1
-        return value
+                self.virtual_blocks, size=4096, p=self.probabilities).tolist()
+            pos = 0
+        self._buffer_pos = pos + 1
+        return self._buffer[pos]
 
     def batch_counts(self, batch: int) -> np.ndarray:
         return self._rng.multinomial(batch, self.probabilities)
 
     def reset(self) -> None:
         self._rng = derive_rng(self._seed, f"trace-{self.name}")
-        self._buffer = None
+        self._buffer = []
         self._buffer_pos = 0
 
     def request_stream(self, write_ratio: float = 0.5,

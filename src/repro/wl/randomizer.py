@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import abc
 import functools
-from typing import Callable
+from typing import Callable, List
 
 import numpy as np
 
@@ -101,7 +101,10 @@ class TableRandomizer(AddressRandomizer):
 
     Subclasses say how to build the forward table (the image of
     ``arange(size)``); both tables are built on first use, after which
-    every lookup, scalar or vectorized, is one index.
+    every lookup, scalar or vectorized, is one index.  Scalar lookups
+    index Python-list mirrors of the two tables (also built on first
+    use): a list index returns an ``int`` directly, where a numpy
+    scalar index would box one and then convert it.
     """
 
     @abc.abstractmethod
@@ -118,11 +121,19 @@ class TableRandomizer(AddressRandomizer):
         inverse[self._table] = np.arange(self.size, dtype=np.int64)
         return inverse
 
+    @functools.cached_property
+    def _table_list(self) -> List[int]:
+        return self._table.tolist()
+
+    @functools.cached_property
+    def _inverse_list(self) -> List[int]:
+        return self._inverse.tolist()
+
     def forward(self, address: int) -> int:
-        return int(self._table[self._check(address)])
+        return self._table_list[self._check(address)]
 
     def backward(self, address: int) -> int:
-        return int(self._inverse[self._check(address)])
+        return self._inverse_list[self._check(address)]
 
     def forward_many(self, addresses: np.ndarray) -> np.ndarray:
         return self._table[self._check_many(addresses)]

@@ -1,10 +1,15 @@
 """Tests for both simulation engines, including cross-engine agreement."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from repro.config import StartGapConfig
+from repro.config import CacheConfig, StartGapConfig
 from repro.ecc import ECP, FreePRegion
+from repro.errors import CapacityExhaustedError
+from repro.mc import BaselineController, RemapCache, ReviverController
 from repro.osmodel.allocator import PagePool
 from repro.pcm import AddressGeometry, EnduranceModel, PCMChip
 from repro.sim import (ExactEngine, FastConfig, FastEngine, StopCause,
@@ -12,7 +17,7 @@ from repro.sim import (ExactEngine, FastConfig, FastEngine, StopCause,
 from repro.traces import hotspot_distribution
 from repro.wl import NoWL, StartGap
 
-from .conftest import make_reviver_system
+from .conftest import make_chip, make_reviver_system
 
 
 class FixedECC:
@@ -505,3 +510,154 @@ class TestEngineAgreement:
         ratio = (fast_summary.lifetime_writes
                  / max(exact_summary.lifetime_writes, 1))
         assert 0.4 < ratio < 2.5, (exact_summary, fast_summary)
+
+
+def make_exact_pin_engine():
+    """The exact path at smoke scale: ECP-1, a remap cache,
+    copy-on-retire, verify and one read per two writes, run to the
+    dead fraction."""
+    geometry = AddressGeometry(num_blocks=512, block_bytes=64,
+                               page_bytes=512)
+    endurance = EnduranceModel(num_blocks=512, mean=120.0, cov=0.25,
+                               max_order=8, seed=1601)
+    chip = PCMChip(geometry, ECP(endurance, capacity=1),
+                   track_contents=True)
+    wear_leveler = StartGap(512, config=StartGapConfig(seed=1602))
+    pool = PagePool(wear_leveler.logical_blocks, blocks_per_page=8,
+                    utilization=0.9, seed=1603)
+    controller = ReviverController(
+        chip, wear_leveler, pool,
+        cache=RemapCache(CacheConfig(capacity_entries=64, associativity=4)),
+        copy_on_retire=True)
+    trace = hotspot_distribution(pool.virtual_blocks, 3.0, seed=1604)
+    return ExactEngine(controller, trace, dead_fraction=0.3, verify=True,
+                       read_fraction=0.5)
+
+
+def exact_canonical_output(engine) -> str:
+    """Every simulated output of an exact run, as canonical JSON."""
+    controller = engine.controller
+    stats = controller.stats
+    return json.dumps({
+        "report": engine.end_of_life_report().as_dict(),
+        "series": engine.series.to_payload(),
+        "reviver": controller.reviver.stats(),
+        "access": {"requests": stats.requests, "writes": stats.writes,
+                   "reads": stats.reads, "pcm_accesses": stats.pcm_accesses,
+                   "redirected": stats.redirected, "faults": stats.faults,
+                   "victimized": stats.victimized,
+                   "metadata_writes": stats.metadata_writes},
+        "migration_writes": controller.migration_writes,
+        "lost_vblocks": sorted(controller.lost_vblocks),
+    }, sort_keys=True, separators=(",", ":"))
+
+
+class TestExactPathPin:
+    """Byte-identity pin of the per-write protocol (chain switches,
+    victimized writes, page acquisition, verified reads)."""
+
+    #: sha256 of :func:`exact_canonical_output`; any change to what the
+    #: exact path computes moves it.
+    DIGEST = ("c9845f68f2e2ba49929f7684301eca6e"
+              "2442446bad17bc103f896a5534436f02")
+
+    def test_exact_path_output_is_pinned(self):
+        engine = make_exact_pin_engine()
+        engine.run()
+        engine.verify_all()
+        engine.controller.check_invariants()
+        assert engine.stop == StopReason(StopCause.DEAD_FRACTION)
+        reviver = engine.controller.reviver.stats()
+        assert reviver["chain_switches"] > 0
+        assert reviver["pages_acquired"] > 0
+        assert engine.controller.stats.victimized > 0
+        text = exact_canonical_output(engine)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+
+def reference_run(engine, max_writes=float("inf")):
+    """:meth:`ExactEngine.run`'s loop with the end-of-life check read
+    from the failed array before every write; returns the stop reason."""
+    controller = engine.controller
+    chip = controller.chip
+    engine.stop = StopReason(StopCause.MAX_WRITES)
+    while controller.writes < max_writes:
+        if chip.failed_fraction() >= engine.dead_fraction:
+            engine.stop = StopReason(StopCause.DEAD_FRACTION)
+            break
+        try:
+            engine._step()
+        except CapacityExhaustedError as exc:
+            engine.stop = StopReason(StopCause.EXHAUSTED, str(exc))
+            break
+        if controller.writes % engine.sample_interval == 0:
+            engine._sample()
+            if engine.verify:
+                engine.verify_all()
+    engine._sample()
+    return engine.stop
+
+
+def make_baseline_engine(prefailed=(), dead_fraction=0.2):
+    """A no-recovery exact engine, which tolerates blocks failed by hand
+    (a software access to one retires its page)."""
+    chip = make_chip(num_blocks=128, mean=150, seed=11)
+    chip.failed[list(prefailed)] = True
+    wear_leveler = StartGap(128)
+    pool = PagePool(wear_leveler.logical_blocks, blocks_per_page=8,
+                    utilization=0.8, seed=5)
+    controller = BaselineController(chip, wear_leveler, pool)
+    trace = hotspot_distribution(pool.virtual_blocks, 3.0, seed=4)
+    return ExactEngine(controller, trace, dead_fraction=dead_fraction,
+                       sample_interval=500)
+
+
+class TestEndOfLifeCheck:
+    """The failure-event gate stops at the same write as a check of
+    ``failed_fraction()`` before every write."""
+
+    @staticmethod
+    def assert_same_run(engine, reference, stop):
+        assert engine.stop == stop
+        assert engine.controller.writes == reference.controller.writes
+        np.testing.assert_array_equal(engine.controller.chip.failed,
+                                      reference.controller.chip.failed)
+        np.testing.assert_array_equal(engine.controller.chip.wear,
+                                      reference.controller.chip.wear)
+
+    def test_pin_config_stops_at_reference_write(self):
+        engine = make_exact_pin_engine()
+        engine.run()
+        reference = make_exact_pin_engine()
+        stop = reference_run(reference)
+        assert stop == StopReason(StopCause.DEAD_FRACTION)
+        self.assert_same_run(engine, reference, stop)
+        assert exact_canonical_output(engine) \
+            == exact_canonical_output(reference)
+
+    def test_blocks_failed_before_the_run(self):
+        prefailed = range(0, 128, 9)  # 15 of 128 blocks, under 0.2
+        engine = make_baseline_engine(prefailed)
+        chip = engine.controller.chip
+        assert chip.failure_events == 0 < int(chip.failed.sum())
+        engine.run(max_writes=100_000)
+        reference = make_baseline_engine(prefailed)
+        stop = reference_run(reference, max_writes=100_000)
+        assert stop.cause in (StopCause.DEAD_FRACTION, StopCause.EXHAUSTED)
+        self.assert_same_run(engine, reference, stop)
+        assert engine.controller.writes > 0
+
+    def test_run_starting_past_dead_fraction_writes_nothing(self):
+        engine = make_baseline_engine(range(0, 128, 4), dead_fraction=0.2)
+        engine.run(max_writes=1_000)
+        assert engine.stop == StopReason(StopCause.DEAD_FRACTION)
+        assert engine.controller.writes == 0
+
+    def test_each_run_rechecks_at_its_start(self):
+        engine = make_baseline_engine(dead_fraction=0.2)
+        engine.run(max_writes=50)
+        assert engine.stop == StopReason(StopCause.MAX_WRITES)
+        engine.controller.chip.failed[:64] = True
+        engine.run(max_writes=100)
+        assert engine.stop == StopReason(StopCause.DEAD_FRACTION)
+        assert engine.controller.writes == 50

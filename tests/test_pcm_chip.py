@@ -1,5 +1,7 @@
 """Unit tests for the PCM chip simulator."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,83 @@ class TestBatchedWrites:
     def test_shape_mismatch_rejected(self, small_chip):
         with pytest.raises(AddressError):
             small_chip.write_many(np.array([1, 2]), np.array([1]))
+
+
+class TestFailureEvents:
+    """``failure_events`` counts every block the chip itself fails."""
+
+    @staticmethod
+    def assert_counted(chip):
+        assert chip.failure_events == int(chip.failed.sum())
+
+    @staticmethod
+    def engine_of(chip):
+        """The least an engine needs for a schedule driver to attach."""
+        return SimpleNamespace(chip=chip, inject=None,
+                               config=SimpleNamespace(recovery="none"))
+
+    def test_counts_single_write_failures(self):
+        chip = make_chip(num_blocks=64, mean=50, seed=2)
+        assert chip.failure_events == 0
+        for da in (0, 3, 9):
+            with pytest.raises(WriteFault):
+                for _ in range(10_000):
+                    chip.write(da)
+            self.assert_counted(chip)
+        assert chip.failure_events == 3
+        # A write refused because the block is already failed counts
+        # nothing new.
+        with pytest.raises(WriteFault):
+            chip.write(3)
+        self.assert_counted(chip)
+
+    def test_counts_write_many_failures(self):
+        chip = make_chip(num_blocks=64, mean=50, seed=2)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            das = rng.integers(0, 64, size=16)
+            counts = rng.integers(1, 9, size=16)
+            chip.write_many(das, counts)
+            self.assert_counted(chip)
+        assert 0 < chip.failure_events < 64
+
+    def test_counts_mixed_scalar_and_batched_failures(self):
+        chip = make_chip(num_blocks=64, mean=50, seed=2)
+        chip.write_many(np.arange(32), np.full(32, 45))
+        self.assert_counted(chip)
+        for da in range(32, 64):
+            try:
+                for _ in range(45):
+                    chip.write(da)
+            except WriteFault:
+                pass
+            self.assert_counted(chip)
+
+    def test_counts_failures_after_threshold_clamps(self):
+        from repro.faultinject.hooks import ScheduleDriver
+        from repro.faultinject.schedule import FaultAction, FaultSchedule
+
+        chip = make_chip(num_blocks=64, mean=10_000, seed=2)
+        schedule = FaultSchedule(actions=(
+            FaultAction("fail-block", at_write=0, das=(4, 8)),
+            FaultAction("endurance-burst", at_write=0, das=(12, 13, 14),
+                        margin=3)))
+        ScheduleDriver(schedule).attach_fast(self.engine_of(chip)).poll(0)
+        for da in (4, 8, 12, 13, 14):
+            with pytest.raises(WriteFault):
+                for _ in range(10):
+                    chip.write(da)
+            self.assert_counted(chip)
+        assert chip.failure_events == 5
+        # Clamps then a batch: the batched path counts its crossings too.
+        ScheduleDriver(FaultSchedule(actions=(
+            FaultAction("endurance-burst", at_write=0, das=(20, 21),
+                        margin=2),))).attach_fast(
+                            self.engine_of(chip)).poll(0)
+        newly = chip.write_many(np.array([20, 21, 22]), np.array([5, 5, 5]))
+        assert newly.tolist() == [20, 21]
+        self.assert_counted(chip)
+        assert chip.failure_events == 7
 
 
 class TestViewsAndStats:

@@ -72,6 +72,38 @@ class TestVectorization:
         assert vectorized.tolist() == scalar
 
 
+class TestScalarLookups:
+    """Scalar lookups index list mirrors of the tables: they must agree
+    with the vectorized lookups everywhere and keep the range check (a
+    list would quietly accept -1)."""
+
+    @pytest.mark.parametrize("cls", [PermutationRandomizer,
+                                     FeistelRandomizer])
+    @pytest.mark.parametrize("size", [1, 2, 255, 1000])
+    def test_scalar_matches_vectorized_over_domain(self, cls, size):
+        randomizer = cls(size, seed=7)
+        xs = np.arange(size)
+        forward = [randomizer.forward(x) for x in range(size)]
+        backward = [randomizer.backward(x) for x in range(size)]
+        assert forward == randomizer.forward_many(xs).tolist()
+        assert backward == randomizer.backward_many(xs).tolist()
+        assert all(type(v) is int for v in forward + backward)
+        assert [randomizer.forward(x) for x in xs] == forward
+
+    @pytest.mark.parametrize("cls", [PermutationRandomizer,
+                                     FeistelRandomizer])
+    @pytest.mark.parametrize("size", [1, 300])
+    def test_scalar_range_check(self, cls, size):
+        randomizer = cls(size, seed=7)
+        randomizer.forward(0)
+        randomizer.backward(0)
+        for bad in (-1, size):
+            with pytest.raises(AddressError):
+                randomizer.forward(bad)
+            with pytest.raises(AddressError):
+                randomizer.backward(bad)
+
+
 class TestFeistelTables:
     @given(size=st.integers(min_value=2, max_value=600),
            seed=st.integers(min_value=0, max_value=2**31))
